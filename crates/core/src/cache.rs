@@ -10,6 +10,7 @@
 //! designs: the enclave-id selects a partition, so no two enclaves can
 //! interact through cache state (the leakage path of Section III-B).
 
+use itesp_snap::{Persist, SnapError, SnapReader, SnapWriter};
 use serde::{Deserialize, Serialize};
 
 /// Outcome of a cache access.
@@ -20,7 +21,7 @@ pub struct CacheOutcome {
     pub writeback: Option<u64>,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, Persist)]
 struct Line {
     tag: u64,
     valid: bool,
@@ -30,7 +31,7 @@ struct Line {
 }
 
 /// Aggregate statistics for one cache (or one partition).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize, Persist)]
 pub struct CacheStats {
     pub accesses: u64,
     pub hits: u64,
@@ -288,74 +289,37 @@ impl MetaCache {
     pub fn stats(&self) -> &CacheStats {
         &self.stats
     }
+}
 
-    /// Serialize the full cache image for a crash-recovery snapshot:
-    /// geometry (partitions are resized at runtime, so the restored
-    /// shape cannot be derived from config), every line, the LRU tick,
-    /// and statistics.
-    pub fn save_state(&self, w: &mut itesp_snap::SnapWriter) {
+/// Hand-written: the geometry (stored, because partitions are resized
+/// at runtime) is checked against the line count before any access
+/// indexes `lines` by set and way.
+impl Persist for MetaCache {
+    fn save(&self, w: &mut SnapWriter) {
         w.section("CACH", 1);
-        w.usize(self.sets);
-        w.usize(self.ways);
-        w.u64(self.tick);
-        w.seq(self.lines.iter(), |w, l| {
-            w.u64(l.tag);
-            w.bool(l.valid);
-            w.bool(l.dirty);
-            w.u64(l.last_use);
-            w.u64(l.hits_since_fill);
-        });
-        let s = &self.stats;
-        for v in [
-            s.accesses,
-            s.hits,
-            s.misses,
-            s.writebacks,
-            s.evicted_block_hits,
-            s.evicted_blocks,
-        ] {
-            w.u64(v);
-        }
+        w.put(&self.sets);
+        w.put(&self.ways);
+        w.put(&self.tick);
+        w.put(&self.lines);
+        w.put(&self.stats);
     }
 
-    /// Rebuild a cache from [`MetaCache::save_state`] bytes.
-    pub fn load_state(r: &mut itesp_snap::SnapReader) -> Result<Self, itesp_snap::SnapError> {
+    fn load(&mut self, r: &mut SnapReader, _what: &'static str) -> Result<(), SnapError> {
         r.section("CACH", 1)?;
-        let sets = r.usize("cache sets")?;
-        let ways = r.usize("cache ways")?;
-        let tick = r.u64("cache tick")?;
-        let n = r.seq_len("cache lines")?;
-        if !sets.is_power_of_two() || ways == 0 || n != sets * ways {
-            return Err(itesp_snap::SnapError::Corrupt {
+        self.sets.load(r, "cache sets")?;
+        self.ways.load(r, "cache ways")?;
+        self.tick.load(r, "cache tick")?;
+        self.lines.load(r, "cache lines")?;
+        if !self.sets.is_power_of_two()
+            || self.ways == 0
+            || self.sets.checked_mul(self.ways) != Some(self.lines.len())
+        {
+            return Err(SnapError::Corrupt {
                 what: "cache geometry",
                 at: r.pos(),
             });
         }
-        let mut lines = Vec::with_capacity(n);
-        for _ in 0..n {
-            lines.push(Line {
-                tag: r.u64("line tag")?,
-                valid: r.bool("line valid")?,
-                dirty: r.bool("line dirty")?,
-                last_use: r.u64("line last_use")?,
-                hits_since_fill: r.u64("line hits_since_fill")?,
-            });
-        }
-        let stats = CacheStats {
-            accesses: r.u64("cache accesses")?,
-            hits: r.u64("cache hits")?,
-            misses: r.u64("cache misses")?,
-            writebacks: r.u64("cache writebacks")?,
-            evicted_block_hits: r.u64("cache evicted_block_hits")?,
-            evicted_blocks: r.u64("cache evicted_blocks")?,
-        };
-        Ok(MetaCache {
-            lines,
-            sets,
-            ways,
-            tick,
-            stats,
-        })
+        self.stats.load(r, "cache stats")
     }
 }
 
@@ -418,20 +382,20 @@ impl PartitionedCache {
         }
         s
     }
+}
 
-    /// Serialize every partition for a crash-recovery snapshot.
-    pub fn save_state(&self, w: &mut itesp_snap::SnapWriter) {
-        w.seq(self.partitions.iter(), |w, p| p.save_state(w));
+/// Hand-written: the partition count is fixed by the engine
+/// configuration (resizing changes capacities, never the count).
+impl Persist for PartitionedCache {
+    fn save(&self, w: &mut SnapWriter) {
+        w.put(self.partitions.as_slice());
     }
 
-    /// Rebuild from [`PartitionedCache::save_state`] bytes.
-    pub fn load_state(r: &mut itesp_snap::SnapReader) -> Result<Self, itesp_snap::SnapError> {
-        let n = r.seq_len("cache partitions")?;
-        let mut partitions = Vec::with_capacity(n);
-        for _ in 0..n {
-            partitions.push(MetaCache::load_state(r)?);
-        }
-        Ok(PartitionedCache { partitions })
+    fn load(&mut self, r: &mut SnapReader, _what: &'static str) -> Result<(), SnapError> {
+        r.load_exact(
+            &mut self.partitions,
+            "cache partition count (config mismatch)",
+        )
     }
 }
 

@@ -11,6 +11,7 @@
 
 use std::collections::HashMap;
 
+use itesp_snap::Persist;
 use serde::{Deserialize, Serialize};
 
 /// Overflow penalty for a 128-arity node, in CPU cycles (Section IV).
@@ -18,7 +19,8 @@ pub const OVERFLOW_PENALTY_128: u64 = 4096;
 
 /// Tracks per-block write counts relative to each leaf node's last
 /// re-encryption ("rebase"), and reports local-counter overflows.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize, Persist)]
+#[persist(section = "OVFL", version = 2)]
 pub struct OverflowTracker {
     /// Writes before a local counter of this width overflows.
     period: u64,
@@ -80,57 +82,6 @@ impl OverflowTracker {
     /// Stall cycles charged per overflow.
     pub fn penalty(&self) -> u64 {
         self.penalty
-    }
-
-    /// Serialize for a crash-recovery snapshot. Maps are written in
-    /// sorted key order so identical state gives identical bytes.
-    pub fn save_state(&self, w: &mut itesp_snap::SnapWriter) {
-        w.section("OVFL", 1);
-        w.u64(self.period);
-        w.u64(self.penalty);
-        w.u64(self.overflows);
-        let mut nodes: Vec<_> = self.node_epoch.iter().collect();
-        nodes.sort_unstable_by_key(|(k, _)| **k);
-        w.seq(nodes.into_iter(), |w, (k, v)| {
-            w.u64(*k);
-            w.u64(u64::from(*v));
-        });
-        let mut blocks: Vec<_> = self.block_writes.iter().collect();
-        blocks.sort_unstable_by_key(|(k, _)| **k);
-        w.seq(blocks.into_iter(), |w, (k, (epoch, writes))| {
-            w.u64(*k);
-            w.u64(u64::from(*epoch));
-            w.u64(*writes);
-        });
-    }
-
-    /// Restore from [`OverflowTracker::save_state`] bytes.
-    pub fn load_state(r: &mut itesp_snap::SnapReader) -> Result<Self, itesp_snap::SnapError> {
-        r.section("OVFL", 1)?;
-        let period = r.u64("overflow period")?;
-        let penalty = r.u64("overflow penalty")?;
-        let overflows = r.u64("overflow count")?;
-        let n = r.seq_len("overflow node epochs")?;
-        let mut node_epoch = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let k = r.u64("node key")?;
-            node_epoch.insert(k, r.u64("node epoch")? as u32);
-        }
-        let n = r.seq_len("overflow block writes")?;
-        let mut block_writes = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let k = r.u64("block key")?;
-            let epoch = r.u64("block epoch")? as u32;
-            let writes = r.u64("block writes")?;
-            block_writes.insert(k, (epoch, writes));
-        }
-        Ok(OverflowTracker {
-            period,
-            penalty,
-            node_epoch,
-            block_writes,
-            overflows,
-        })
     }
 }
 

@@ -20,6 +20,7 @@
 //! [23]); the slowdown comes from the extra *bandwidth*, exactly the
 //! paper's premise (Section I).
 
+use itesp_snap::{Persist, SnapError, SnapReader, SnapWriter};
 use serde::{Deserialize, Serialize};
 
 use crate::cache::CacheStats;
@@ -300,8 +301,8 @@ impl EngineConfig {
     }
 
     /// A 64-bit digest of every field that decides engine geometry —
-    /// the same fields [`SecurityEngine::load_state`] compares before
-    /// accepting a snapshot. Two engines with equal fingerprints can
+    /// the same fields an engine snapshot's config fingerprint compares
+    /// before accepting it. Two engines with equal fingerprints can
     /// exchange serialized security state; the migration protocol
     /// checks this before installing an enclave on a destination node.
     pub fn fingerprint(&self) -> u64 {
@@ -327,7 +328,7 @@ impl EngineConfig {
 }
 
 /// Traffic and classification statistics for one run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize, Persist)]
 pub struct EngineStats {
     pub data_reads: u64,
     pub data_writes: u64,
@@ -498,75 +499,21 @@ impl SecurityEngine {
         s
     }
 
-    /// Serialize the engine for a crash-recovery snapshot: a config
-    /// fingerprint (so a snapshot cannot be restored into an engine
-    /// built for a different scheme or capacity), the statistics, and
-    /// the scheme model's full mutable state.
-    pub fn save_state(&self, w: &mut itesp_snap::SnapWriter) {
-        w.section("ENGN", 1);
-        w.str(self.cfg.scheme.label());
-        w.usize(self.cfg.enclaves);
-        w.u64(self.cfg.data_capacity);
-        w.u64(self.cfg.enclave_capacity);
-        w.usize(self.cfg.metadata_cache_bytes);
-        w.usize(self.cfg.cache_ways);
-        w.bool(self.cfg.model_overflow);
-        w.u64(self.cfg.rank_stride_blocks);
-        let s = &self.stats;
-        w.u64(s.data_reads);
-        w.u64(s.data_writes);
-        for v in s.meta_reads.iter().chain(&s.meta_writes) {
-            w.u64(*v);
-        }
-        for v in &s.case_counts {
-            w.u64(*v);
-        }
-        w.u64(s.overflows);
-        w.u64(s.overflow_stall_cycles);
-        self.model.save_state(w);
-    }
-
-    /// Restore a freshly built engine (same config) from
-    /// [`SecurityEngine::save_state`] bytes.
-    ///
-    /// # Errors
-    /// [`itesp_snap::SnapError::Corrupt`] if the snapshot's config
-    /// fingerprint does not match this engine's configuration.
-    pub fn load_state(
-        &mut self,
-        r: &mut itesp_snap::SnapReader,
-    ) -> Result<(), itesp_snap::SnapError> {
-        r.section("ENGN", 1)?;
-        let fp_ok = r.str("engine scheme")? == self.cfg.scheme.label()
-            && r.usize("engine enclaves")? == self.cfg.enclaves
-            && r.u64("engine data_capacity")? == self.cfg.data_capacity
-            && r.u64("engine enclave_capacity")? == self.cfg.enclave_capacity
-            && r.usize("engine metadata_cache_bytes")? == self.cfg.metadata_cache_bytes
-            && r.usize("engine cache_ways")? == self.cfg.cache_ways
-            && r.bool("engine model_overflow")? == self.cfg.model_overflow
-            && r.u64("engine rank_stride_blocks")? == self.cfg.rank_stride_blocks;
-        if !fp_ok {
-            return Err(itesp_snap::SnapError::Corrupt {
-                what: "engine config fingerprint (snapshot from a different configuration)",
-                at: r.pos(),
-            });
-        }
-        self.stats.data_reads = r.u64("stats data_reads")?;
-        self.stats.data_writes = r.u64("stats data_writes")?;
-        for v in self
-            .stats
-            .meta_reads
-            .iter_mut()
-            .chain(self.stats.meta_writes.iter_mut())
-        {
-            *v = r.u64("stats meta counts")?;
-        }
-        for v in &mut self.stats.case_counts {
-            *v = r.u64("stats case_counts")?;
-        }
-        self.stats.overflows = r.u64("stats overflows")?;
-        self.stats.overflow_stall_cycles = r.u64("stats overflow_stall_cycles")?;
-        self.model.load_state(r)
+    /// The configuration fields an engine snapshot records, so it
+    /// cannot be restored into an engine built for a different scheme
+    /// or capacity.
+    fn config_fingerprint(&self) -> ConfigFingerprint {
+        let c = &self.cfg;
+        (
+            c.scheme.label().to_owned(),
+            c.enclaves,
+            c.data_capacity,
+            c.enclave_capacity,
+            c.metadata_cache_bytes,
+            c.cache_ways,
+            c.model_overflow,
+            c.rank_stride_blocks,
+        )
     }
 
     /// Which cache partition and block index a data access uses.
@@ -814,6 +761,35 @@ impl SecurityEngine {
         self.model.drain(&mut mem);
         self.account(&mem);
         mem
+    }
+}
+
+/// See [`SecurityEngine::config_fingerprint`].
+type ConfigFingerprint = (String, usize, u64, u64, usize, usize, bool, u64);
+
+/// Hand-written: the snapshot starts with the engine's config
+/// fingerprint, which `load` checks against this engine's own before
+/// decoding any state.
+impl Persist for SecurityEngine {
+    fn save(&self, w: &mut SnapWriter) {
+        w.section("ENGN", 1);
+        w.put(&self.config_fingerprint());
+        w.put(&self.stats);
+        w.put(&*self.model);
+    }
+
+    fn load(&mut self, r: &mut SnapReader, _what: &'static str) -> Result<(), SnapError> {
+        r.section("ENGN", 1)?;
+        let at = r.pos();
+        let fingerprint: ConfigFingerprint = r.get("engine config fingerprint")?;
+        if fingerprint != self.config_fingerprint() {
+            return Err(SnapError::Corrupt {
+                what: "engine config fingerprint (snapshot from a different configuration)",
+                at,
+            });
+        }
+        self.stats.load(r, "engine stats")?;
+        self.model.load(r, "scheme model")
     }
 }
 #[cfg(test)]

@@ -11,7 +11,7 @@
 use serde::{Deserialize, Serialize};
 
 /// A 128-bit MAC key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MacKey {
     pub k0: u64,
     pub k1: u64,

@@ -15,6 +15,8 @@
 //! chip fault is uncorrectable — the RAS layer classifies it as a DUE,
 //! never an SDC and never a correction.
 
+use itesp_snap::Persist;
+
 use crate::cache::CacheStats;
 use crate::engine::{EngineConfig, MetaAccess, MetaKind, MissCase};
 use crate::scheme::ModelFamily;
@@ -25,8 +27,10 @@ use super::SchemeModel;
 /// write counter standing in for the anti-replay counter — tracked so
 /// the model has an observable functional obligation (monotonicity)
 /// for the oracle, at zero traffic cost.
-#[derive(Debug)]
+#[derive(Debug, Persist)]
+#[persist(section = "LINK", version = 1)]
 pub struct LinkLevelModel {
+    #[persist(skip)]
     cfg: EngineConfig,
     /// Anti-replay link counter: total authenticated transfers. Lives
     /// on chip; never generates traffic.
@@ -104,16 +108,5 @@ impl SchemeModel for LinkLevelModel {
 
     fn recovery_parity_addr(&self, _part: usize, _block: u64) -> Option<u64> {
         None
-    }
-
-    fn save_state(&self, w: &mut itesp_snap::SnapWriter) {
-        w.section("LINK", 1);
-        w.u64(self.transfers);
-    }
-
-    fn load_state(&mut self, r: &mut itesp_snap::SnapReader) -> Result<(), itesp_snap::SnapError> {
-        r.section("LINK", 1)?;
-        self.transfers = r.u64("link transfers")?;
-        Ok(())
     }
 }

@@ -30,13 +30,16 @@ use crate::cache::CacheStats;
 use crate::engine::{EngineConfig, MetaAccess, MetaKind, MissCase};
 use crate::scheme::ModelFamily;
 use crate::tree::TreeGeometry;
-use itesp_snap::{SnapError, SnapReader, SnapWriter};
+use itesp_snap::Persist;
 
 /// One scheme family's traffic model. The engine calls it for every
 /// data access, drains it at end of run, and forwards the enclave
 /// lifecycle; the model appends its metadata transactions to the
 /// caller's list (the engine folds them into [`crate::EngineStats`]).
-pub trait SchemeModel: std::fmt::Debug + Send {
+/// Its [`Persist`] impl snapshots the mutable state (caches, counters,
+/// memos, position maps — everything not derivable from config) and
+/// restores it into a freshly built model of the same config.
+pub trait SchemeModel: std::fmt::Debug + Send + Persist {
     /// Which family this model implements.
     fn family(&self) -> ModelFamily;
 
@@ -137,15 +140,6 @@ pub trait SchemeModel: std::fmt::Debug + Send {
 
     /// Enclave lifecycle: redistribute cache slices over live tenants.
     fn repartition_caches(&mut self, _live: &[bool], _mem: &mut Vec<MetaAccess>) {}
-
-    /// Serialize the model's mutable state (caches, counters, memos,
-    /// position maps — everything not derivable from config) for a
-    /// crash-recovery snapshot.
-    fn save_state(&self, w: &mut SnapWriter);
-
-    /// Restore state into a freshly built model of the same config
-    /// from [`SchemeModel::save_state`] bytes.
-    fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError>;
 }
 
 /// Instantiate the model for `cfg.scheme` — the single place the

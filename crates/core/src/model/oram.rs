@@ -21,6 +21,8 @@
 
 use std::collections::{BTreeSet, HashMap};
 
+use itesp_snap::Persist;
+
 use crate::engine::{EngineConfig, MetaAccess, MetaKind, MissCase};
 use crate::scheme::ModelFamily;
 
@@ -157,7 +159,7 @@ impl OramLayout {
 /// Position-map + eviction-schedule state, advanced one access at a
 /// time. The model drives one instance; the differential oracle drives
 /// an [`OramShadow`] holding another and compares traffic exactly.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, Persist)]
 struct OramState {
     /// Current leaf per touched block (untouched blocks are at their
     /// `initial_position`).
@@ -196,8 +198,10 @@ impl OramState {
 }
 
 /// The ORAM [`SchemeModel`]. See module docs.
-#[derive(Debug)]
+#[derive(Debug, Persist)]
+#[persist(section = "ORAM", version = 1)]
 pub struct OramModel {
+    #[persist(skip)]
     layout: OramLayout,
     state: OramState,
 }
@@ -280,47 +284,6 @@ impl SchemeModel for OramModel {
         // group function as the paper's shared parity.
         let group = parity_group(block, 8, self.layout.rank_stride_blocks);
         Some(self.layout.parity_base + (group / 8) * 64)
-    }
-
-    fn save_state(&self, w: &mut itesp_snap::SnapWriter) {
-        w.section("ORAM", 1);
-        let mut positions: Vec<_> = self.state.positions.iter().collect();
-        positions.sort_unstable_by_key(|(k, _)| **k);
-        w.seq(positions.into_iter(), |w, (k, v)| {
-            w.u64(*k);
-            w.u64(*v);
-        });
-        let mut counts: Vec<_> = self.state.counts.iter().collect();
-        counts.sort_unstable_by_key(|(k, _)| **k);
-        w.seq(counts.into_iter(), |w, (k, v)| {
-            w.u64(*k);
-            w.u64(*v);
-        });
-        w.u64(self.state.pending_evict);
-        w.u64(self.state.evict_seq);
-    }
-
-    fn load_state(&mut self, r: &mut itesp_snap::SnapReader) -> Result<(), itesp_snap::SnapError> {
-        r.section("ORAM", 1)?;
-        let n = r.seq_len("oram positions")?;
-        let mut positions = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let k = r.u64("position block")?;
-            positions.insert(k, r.u64("position leaf")?);
-        }
-        let n = r.seq_len("oram counts")?;
-        let mut counts = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let k = r.u64("count block")?;
-            counts.insert(k, r.u64("count value")?);
-        }
-        self.state = OramState {
-            positions,
-            counts,
-            pending_evict: r.u64("oram pending_evict")?,
-            evict_seq: r.u64("oram evict_seq")?,
-        };
-        Ok(())
     }
 }
 

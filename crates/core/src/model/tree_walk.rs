@@ -11,6 +11,8 @@
 
 use std::collections::BTreeSet;
 
+use itesp_snap::{Persist, SnapError, SnapReader, SnapWriter};
+
 use crate::cache::{largest_valid_capacity, CacheStats, PartitionedCache};
 use crate::counters::OverflowTracker;
 use crate::engine::{EngineConfig, MetaAccess, MetaKind, MissCase};
@@ -32,7 +34,7 @@ struct Regions {
 /// seen no other traffic, which guarantees the leaf line is still
 /// resident — so a same-leaf access hits at the leaf and stops there,
 /// exactly like the full walk would.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Persist)]
 struct TreeMemo {
     leaf_index: u64,
     leaf_addr: u64,
@@ -863,98 +865,6 @@ impl SchemeModel for TreeWalkModel {
         }
     }
 
-    fn save_state(&self, w: &mut itesp_snap::SnapWriter) {
-        w.section("TREE", 1);
-        // Lifecycle geometry per partition: data_blocks is stored
-        // verbatim by TreeGeometry, so the geometry round-trips through
-        // `spec.tree.geometry(data_blocks)` exactly.
-        w.seq(self.part_geos.iter(), |w, g| {
-            w.opt_u64(g.as_ref().map(TreeGeometry::data_blocks));
-        });
-        let save_cache = |w: &mut itesp_snap::SnapWriter, c: &Option<PartitionedCache>| {
-            w.bool(c.is_some());
-            if let Some(pc) = c {
-                pc.save_state(w);
-            }
-        };
-        save_cache(w, &self.tree_cache);
-        save_cache(w, &self.mac_cache);
-        save_cache(w, &self.parity_cache);
-        w.bool(self.overflow.is_some());
-        if let Some(of) = &self.overflow {
-            of.save_state(w);
-        }
-        w.seq(self.tree_memo.iter(), |w, m| match m {
-            Some(memo) => {
-                w.bool(true);
-                w.u64(memo.leaf_index);
-                w.u64(memo.leaf_addr);
-            }
-            None => w.bool(false),
-        });
-        w.bool(self.memo_enabled);
-    }
-
-    fn load_state(&mut self, r: &mut itesp_snap::SnapReader) -> Result<(), itesp_snap::SnapError> {
-        r.section("TREE", 1)?;
-        let corrupt = |what, at| itesp_snap::SnapError::Corrupt { what, at };
-        let parts = self.part_geos.len();
-        let n = r.seq_len("partition geometries")?;
-        if n != parts {
-            return Err(corrupt("partition count (config mismatch)", r.pos()));
-        }
-        for g in &mut self.part_geos {
-            *g = match r.opt_u64("partition data_blocks")? {
-                Some(blocks) => Some(
-                    self.spec
-                        .tree
-                        .geometry(blocks)
-                        .ok_or(corrupt("partition geometry for treeless scheme", r.pos()))?,
-                ),
-                None => None,
-            };
-        }
-        let load_cache = |r: &mut itesp_snap::SnapReader,
-                          c: &mut Option<PartitionedCache>,
-                          what: &'static str|
-         -> Result<(), itesp_snap::SnapError> {
-            let present = r.bool(what)?;
-            if present != c.is_some() {
-                return Err(itesp_snap::SnapError::Corrupt { what, at: r.pos() });
-            }
-            if present {
-                *c = Some(PartitionedCache::load_state(r)?);
-            }
-            Ok(())
-        };
-        load_cache(r, &mut self.tree_cache, "tree cache presence")?;
-        load_cache(r, &mut self.mac_cache, "mac cache presence")?;
-        load_cache(r, &mut self.parity_cache, "parity cache presence")?;
-        let has_overflow = r.bool("overflow tracker presence")?;
-        if has_overflow != self.overflow.is_some() {
-            return Err(corrupt("overflow tracker presence", r.pos()));
-        }
-        if has_overflow {
-            self.overflow = Some(OverflowTracker::load_state(r)?);
-        }
-        let n = r.seq_len("tree memos")?;
-        if n != parts {
-            return Err(corrupt("tree memo count (config mismatch)", r.pos()));
-        }
-        for m in &mut self.tree_memo {
-            *m = if r.bool("tree memo presence")? {
-                Some(TreeMemo {
-                    leaf_index: r.u64("memo leaf_index")?,
-                    leaf_addr: r.u64("memo leaf_addr")?,
-                })
-            } else {
-                None
-            };
-        }
-        self.memo_enabled = r.bool("memo enabled")?;
-        Ok(())
-    }
-
     fn repartition_caches(&mut self, live: &[bool], mem: &mut Vec<MetaAccess>) {
         if !self.spec.isolated {
             return;
@@ -1006,5 +916,79 @@ impl SchemeModel for TreeWalkModel {
                 }
             }
         }
+    }
+}
+
+/// Hand-written: the partition count and each structure's presence
+/// are fixed by the scheme and checked against the constructed model,
+/// and lifecycle tree geometries are re-derived from their stored
+/// block counts (`TreeGeometry` keeps `data_blocks` verbatim, so the
+/// geometry round-trips exactly).
+impl Persist for TreeWalkModel {
+    fn save(&self, w: &mut SnapWriter) {
+        w.section("TREE", 1);
+        let blocks: Vec<Option<u64>> = self
+            .part_geos
+            .iter()
+            .map(|g| g.as_ref().map(TreeGeometry::data_blocks))
+            .collect();
+        w.put(&blocks);
+        save_fixed(w, &self.tree_cache);
+        save_fixed(w, &self.mac_cache);
+        save_fixed(w, &self.parity_cache);
+        save_fixed(w, &self.overflow);
+        w.put(&self.tree_memo);
+        w.put(&self.memo_enabled);
+    }
+
+    fn load(&mut self, r: &mut SnapReader, _what: &'static str) -> Result<(), SnapError> {
+        r.section("TREE", 1)?;
+        let at = r.pos();
+        let blocks: Vec<Option<u64>> = r.get("partition data_blocks")?;
+        if blocks.len() != self.part_geos.len() {
+            return Err(SnapError::Corrupt {
+                what: "partition count (config mismatch)",
+                at,
+            });
+        }
+        for (g, b) in self.part_geos.iter_mut().zip(blocks) {
+            *g = match b {
+                Some(b) => Some(self.spec.tree.geometry(b).ok_or(SnapError::Corrupt {
+                    what: "partition geometry for treeless scheme",
+                    at,
+                })?),
+                None => None,
+            };
+        }
+        load_fixed(r, &mut self.tree_cache, "tree cache presence")?;
+        load_fixed(r, &mut self.mac_cache, "mac cache presence")?;
+        load_fixed(r, &mut self.parity_cache, "parity cache presence")?;
+        load_fixed(r, &mut self.overflow, "overflow tracker presence")?;
+        r.load_exact(&mut self.tree_memo, "tree memo count (config mismatch)")?;
+        self.memo_enabled.load(r, "memo enabled")
+    }
+}
+
+/// Save a structure the scheme may or may not have: presence, then
+/// contents (the `Option` encoding).
+fn save_fixed<T: Persist>(w: &mut SnapWriter, v: &Option<T>) {
+    w.put(&v.is_some());
+    if let Some(v) = v {
+        w.put(v);
+    }
+}
+
+/// Load what [`save_fixed`] wrote, refusing a snapshot that disagrees
+/// with the constructed model about the structure's presence.
+fn load_fixed<T: Persist>(
+    r: &mut SnapReader,
+    v: &mut Option<T>,
+    what: &'static str,
+) -> Result<(), SnapError> {
+    let at = r.pos();
+    match (r.bool(what)?, v) {
+        (true, Some(v)) => v.load(r, what),
+        (false, None) => Ok(()),
+        _ => Err(SnapError::Corrupt { what, at }),
     }
 }

@@ -20,6 +20,7 @@
 //!   4 consecutive blocks share a row, then switch rank. A leaf node in
 //!   ITESP holds 4 shared parities, so these 4 blocks also share a leaf.
 
+use itesp_snap::Persist;
 use serde::{Deserialize, Serialize};
 
 use crate::config::{DramGeometry, BLOCK_SHIFT};
@@ -69,7 +70,7 @@ impl AddressMapping {
 }
 
 /// A physical address decoded into DRAM coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize, Persist)]
 pub struct DecodedAddr {
     pub channel: u32,
     pub rank: u32,

@@ -6,10 +6,10 @@
 //! rank-wide write-to-read turnaround (tWTR).
 
 use crate::config::DramTiming;
-use itesp_snap::{SnapError, SnapReader, SnapWriter};
+use itesp_snap::Persist;
 
 /// Row-buffer state and per-command earliest-issue times for one bank.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Persist)]
 pub struct BankState {
     /// Currently open row, if any.
     pub open_row: Option<u32>,
@@ -60,30 +60,11 @@ impl BankState {
         self.open_row = None;
         self.next_activate = self.next_activate.max(now + t.t_rp);
     }
-
-    /// Serialize for a crash-recovery snapshot.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.opt_u64(self.open_row.map(u64::from));
-        w.u64(self.next_activate);
-        w.u64(self.next_read);
-        w.u64(self.next_write);
-        w.u64(self.next_precharge);
-    }
-
-    /// Restore from [`BankState::save_state`] bytes.
-    pub fn load_state(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(BankState {
-            open_row: r.opt_u64("bank open row")?.map(|v| v as u32),
-            next_activate: r.u64("bank next_activate")?,
-            next_read: r.u64("bank next_read")?,
-            next_write: r.u64("bank next_write")?,
-            next_precharge: r.u64("bank next_precharge")?,
-        })
-    }
 }
 
-/// Rank-wide constraints shared by all banks in the rank.
-#[derive(Debug, Clone)]
+/// Rank-wide constraints shared by all banks in the rank. The snapshot
+/// includes the private tFAW window, which no public accessor exposes.
+#[derive(Debug, Clone, Persist)]
 pub struct RankState {
     /// Issue times of the last four ACTs (for the tFAW window).
     act_history: [u64; 4],
@@ -153,37 +134,6 @@ impl RankState {
     pub fn refresh(&mut self, now: u64, t: &DramTiming) {
         self.ready_at = now + t.t_rfc;
         self.next_refresh += t.t_refi;
-    }
-
-    /// Serialize for a crash-recovery snapshot (including the private
-    /// tFAW window, which no public accessor exposes).
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        for &a in &self.act_history {
-            w.u64(a);
-        }
-        w.u64(self.acts_seen);
-        w.u64(self.next_activate);
-        w.u64(self.next_read);
-        w.u64(self.next_write);
-        w.u64(self.ready_at);
-        w.u64(self.next_refresh);
-    }
-
-    /// Restore from [`RankState::save_state`] bytes.
-    pub fn load_state(r: &mut SnapReader) -> Result<Self, SnapError> {
-        let mut act_history = [0u64; 4];
-        for a in &mut act_history {
-            *a = r.u64("rank act_history")?;
-        }
-        Ok(RankState {
-            act_history,
-            acts_seen: r.u64("rank acts_seen")?,
-            next_activate: r.u64("rank next_activate")?,
-            next_read: r.u64("rank next_read")?,
-            next_write: r.u64("rank next_write")?,
-            ready_at: r.u64("rank ready_at")?,
-            next_refresh: r.u64("rank next_refresh")?,
-        })
     }
 }
 

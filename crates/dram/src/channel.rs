@@ -31,14 +31,13 @@
 //!   between events, so the skipped ticks are provably no-ops and the
 //!   command stream is identical to ticking every cycle.
 
-use crate::address::DecodedAddr;
 use crate::bank::{BankState, RankState};
 use crate::command::{ChannelStats, Command, Completion, IssuedCommand, Request};
 use crate::config::{DramConfig, DramTiming};
-use itesp_snap::{SnapError, SnapReader, SnapWriter};
+use itesp_snap::{Persist, SnapError, SnapReader, SnapWriter};
 
 /// State of the shared data bus: last burst's rank and end time.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, Persist)]
 struct DataBus {
     free_at: u64,
     last_rank: Option<u32>,
@@ -648,103 +647,44 @@ impl Channel {
     }
 }
 
-impl Channel {
-    /// Serialize the full controller state for a crash-recovery
-    /// snapshot: bank/rank timing, bus, both queues (age order),
-    /// drain flag, stats, and undrained completions.
-    ///
-    /// # Panics
-    /// Panics if command logging is enabled — the log is a debugging
-    /// artifact that cannot be restored canonically, so snapshotting a
-    /// logged run is refused rather than silently dropping it.
-    pub fn save_state(&self, w: &mut SnapWriter) {
+/// Hand-written: bank and rank counts are checked against the
+/// constructed geometry, the queues rebuild their scheduler indexes,
+/// and the wake time and rank-gate caches are reset rather than
+/// restored (resetting them only costs a redundant sweep, never
+/// changes the command stream).
+///
+/// # Panics
+/// `save` panics if command logging is enabled — the log is a
+/// debugging artifact that cannot be restored canonically, so
+/// snapshotting a logged run is refused rather than silently dropping
+/// it.
+impl Persist for Channel {
+    fn save(&self, w: &mut SnapWriter) {
         assert!(
             self.cmd_log.is_none(),
             "cannot snapshot a channel with command logging enabled"
         );
-        w.section("CHAN", 1);
-        w.seq(self.banks.iter(), |w, b| b.save_state(w));
-        w.seq(self.ranks.iter(), |w, r| r.save_state(w));
-        w.u64(self.bus.free_at);
-        w.opt_u64(self.bus.last_rank.map(u64::from));
-        save_queue(&self.read_q, w);
-        save_queue(&self.write_q, w);
-        w.bool(self.draining_writes);
-        let s = &self.stats;
-        for v in [
-            s.reads,
-            s.writes,
-            s.activates,
-            s.precharges,
-            s.refreshes,
-            s.row_hits,
-            s.row_misses,
-            s.total_read_latency,
-            s.bus_busy_cycles,
-        ] {
-            w.u64(v);
-        }
-        w.seq(self.completions.iter(), |w, c| {
-            w.u64(c.id);
-            w.bool(c.is_write);
-            w.u64(c.finish);
-            w.u64(c.arrival);
-        });
+        w.section("CHAN", 2);
+        w.put(&self.banks);
+        w.put(self.ranks.as_slice());
+        w.put(&self.bus);
+        w.put(&self.read_q);
+        w.put(&self.write_q);
+        w.put(&self.draining_writes);
+        w.put(&self.stats);
+        w.put(&self.completions);
     }
 
-    /// Restore a freshly constructed channel (same config) from
-    /// [`Channel::save_state`] bytes. The scheduler's wake time and
-    /// rank-gate caches are recomputed, not restored: resetting them
-    /// only costs a redundant sweep, never changes the command stream.
-    pub fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        r.section("CHAN", 1)?;
-        let nbanks = self.banks.len();
-        let n = r.seq_len("channel banks")?;
-        if n != nbanks {
-            return Err(SnapError::Corrupt {
-                what: "channel bank count (config mismatch)",
-                at: r.pos(),
-            });
-        }
-        for b in &mut self.banks {
-            *b = BankState::load_state(r)?;
-        }
-        let n = r.seq_len("channel ranks")?;
-        if n != self.ranks.len() {
-            return Err(SnapError::Corrupt {
-                what: "channel rank count (config mismatch)",
-                at: r.pos(),
-            });
-        }
-        for rank in &mut self.ranks {
-            *rank = RankState::load_state(r)?;
-        }
-        self.bus.free_at = r.u64("bus free_at")?;
-        self.bus.last_rank = r.opt_u64("bus last_rank")?.map(|v| v as u32);
-        self.read_q = load_queue(r, self.cfg.queues.read_queue, nbanks)?;
-        self.write_q = load_queue(r, self.cfg.queues.write_queue, nbanks)?;
-        self.draining_writes = r.bool("draining_writes")?;
-        self.stats = ChannelStats {
-            reads: r.u64("stats reads")?,
-            writes: r.u64("stats writes")?,
-            activates: r.u64("stats activates")?,
-            precharges: r.u64("stats precharges")?,
-            refreshes: r.u64("stats refreshes")?,
-            row_hits: r.u64("stats row_hits")?,
-            row_misses: r.u64("stats row_misses")?,
-            total_read_latency: r.u64("stats total_read_latency")?,
-            bus_busy_cycles: r.u64("stats bus_busy_cycles")?,
-        };
-        let n = r.seq_len("channel completions")?;
-        self.completions.clear();
-        for _ in 0..n {
-            self.completions.push(Completion {
-                id: r.u64("completion id")?,
-                is_write: r.bool("completion is_write")?,
-                finish: r.u64("completion finish")?,
-                arrival: r.u64("completion arrival")?,
-            });
-        }
+    fn load(&mut self, r: &mut SnapReader, _what: &'static str) -> Result<(), SnapError> {
+        r.section("CHAN", 2)?;
+        r.load_exact(&mut self.banks, "channel bank count (config mismatch)")?;
+        r.load_exact(&mut self.ranks, "channel rank count (config mismatch)")?;
+        self.bus.load(r, "channel bus")?;
+        self.read_q.load(r, "read queue")?;
+        self.write_q.load(r, "write queue")?;
+        self.draining_writes.load(r, "draining_writes")?;
+        self.stats.load(r, "channel stats")?;
+        self.completions.load(r, "channel completions")?;
         self.cmd_log = None;
         self.next_wake = 0;
         self.gate_gen = 0;
@@ -754,50 +694,30 @@ impl Channel {
     }
 }
 
-fn save_queue(q: &RequestQueue, w: &mut SnapWriter) {
-    w.seq(q.live_by_seq().into_iter(), |w, req| {
-        w.u64(req.id);
-        w.u64(req.addr);
-        w.u64(u64::from(req.coords.channel));
-        w.u64(u64::from(req.coords.rank));
-        w.u64(u64::from(req.coords.bank));
-        w.u64(u64::from(req.coords.row));
-        w.u64(u64::from(req.coords.column));
-        w.bool(req.is_write);
-        w.u64(req.arrival);
-        w.bool(req.caused_row_miss);
-        w.u64(u64::from(req.bank_index));
-    });
-}
-
-fn load_queue(r: &mut SnapReader, cap: usize, nbanks: usize) -> Result<RequestQueue, SnapError> {
-    let n = r.seq_len("queue requests")?;
-    let mut q = RequestQueue::new(cap, nbanks);
-    for _ in 0..n {
-        let id = r.u64("request id")?;
-        let addr = r.u64("request addr")?;
-        let coords = DecodedAddr {
-            channel: r.u64("request channel")? as u32,
-            rank: r.u64("request rank")? as u32,
-            bank: r.u64("request bank")? as u32,
-            row: r.u64("request row")? as u32,
-            column: r.u64("request column")? as u32,
-        };
-        let is_write = r.bool("request is_write")?;
-        let arrival = r.u64("request arrival")?;
-        let caused_row_miss = r.bool("request caused_row_miss")?;
-        let bank_index = r.u64("request bank_index")? as u32;
-        let mut req = Request::new(id, addr, coords, is_write, arrival);
-        req.caused_row_miss = caused_row_miss;
-        req.bank_index = bank_index;
-        if !q.push(req) {
-            return Err(SnapError::Corrupt {
-                what: "queue request count exceeds configured capacity",
-                at: r.pos(),
-            });
-        }
+/// Hand-written: only the live requests are stored, in age order; the
+/// slab, per-bank index and active list are rebuilt by re-enqueueing
+/// them into a queue of the constructed capacity.
+impl Persist for RequestQueue {
+    fn save(&self, w: &mut SnapWriter) {
+        w.put(&self.live_by_seq());
     }
-    Ok(q)
+
+    fn load(&mut self, r: &mut SnapReader, what: &'static str) -> Result<(), SnapError> {
+        let live: Vec<Request> = r.get(what)?;
+        let nbanks = self.by_bank.len();
+        *self = RequestQueue::new(self.cap, nbanks);
+        for req in live {
+            let what = if req.bank_index as usize >= nbanks {
+                "queued request bank index past the bank count"
+            } else if !self.push(req) {
+                "queue request count exceeds configured capacity"
+            } else {
+                continue;
+            };
+            return Err(SnapError::Corrupt { what, at: r.pos() });
+        }
+        Ok(())
+    }
 }
 
 /// Earliest cycle at which `req`'s column access passes every

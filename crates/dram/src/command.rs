@@ -1,5 +1,6 @@
 //! Request and command types exchanged with the memory controller.
 
+use itesp_snap::Persist;
 use serde::{Deserialize, Serialize};
 
 use crate::address::DecodedAddr;
@@ -18,7 +19,7 @@ pub enum Command {
 }
 
 /// A memory request waiting in a controller queue.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default, Persist)]
 pub struct Request {
     pub id: RequestId,
     /// Physical byte address of the block.
@@ -74,7 +75,7 @@ pub struct IssuedCommand {
 }
 
 /// A finished request: data fully transferred on the bus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Persist)]
 pub struct Completion {
     pub id: RequestId,
     pub is_write: bool,
@@ -93,7 +94,7 @@ impl Completion {
 
 /// Aggregate event counts for one channel, consumed by the power model
 /// and the figure regenerators.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize, Persist)]
 pub struct ChannelStats {
     pub reads: u64,
     pub writes: u64,

@@ -225,35 +225,27 @@ impl MemorySystem {
     pub fn energy(&self, cycles: u64) -> EnergyBreakdown {
         energy_for_run(&self.cfg, &self.stats(), cycles)
     }
+}
 
-    /// Serialize the whole memory system for a crash-recovery snapshot.
-    pub fn save_state(&self, w: &mut itesp_snap::SnapWriter) {
+/// Hand-written: the channel count is checked against the constructed
+/// configuration.
+impl itesp_snap::Persist for MemorySystem {
+    fn save(&self, w: &mut itesp_snap::SnapWriter) {
         w.section("DMEM", 1);
-        w.u64(self.next_id);
-        w.u64(self.in_flight);
-        w.seq(self.channels.iter(), |w, ch| ch.save_state(w));
+        w.put(&self.next_id);
+        w.put(&self.in_flight);
+        w.put(self.channels.as_slice());
     }
 
-    /// Restore a freshly constructed system (same config) from
-    /// [`MemorySystem::save_state`] bytes.
-    pub fn load_state(
+    fn load(
         &mut self,
         r: &mut itesp_snap::SnapReader,
+        _what: &'static str,
     ) -> Result<(), itesp_snap::SnapError> {
         r.section("DMEM", 1)?;
-        self.next_id = r.u64("memory next_id")?;
-        self.in_flight = r.u64("memory in_flight")?;
-        let n = r.seq_len("memory channels")?;
-        if n != self.channels.len() {
-            return Err(itesp_snap::SnapError::Corrupt {
-                what: "memory channel count (config mismatch)",
-                at: r.pos(),
-            });
-        }
-        for ch in &mut self.channels {
-            ch.load_state(r)?;
-        }
-        Ok(())
+        self.next_id.load(r, "memory next_id")?;
+        self.in_flight.load(r, "memory in_flight")?;
+        r.load_exact(&mut self.channels, "memory channel count (config mismatch)")
     }
 }
 

@@ -10,7 +10,7 @@
 
 use std::collections::BTreeSet;
 
-use itesp_snap::{SnapError, SnapReader, SnapWriter};
+use itesp_snap::{Persist, SnapError, SnapReader, SnapWriter};
 
 /// The result of [`LeafAllocator::alloc`]: the id, tagged with whether
 /// it has a history.
@@ -37,7 +37,7 @@ impl LeafGrant {
 /// First-touch leaf-id allocator for one enclave: dense fresh ids up
 /// to the tree's current leaf capacity, plus a LIFO free list of
 /// recycled ids.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LeafAllocator {
     /// Leaf-ids the current tree geometry can address.
     capacity: u64,
@@ -115,51 +115,35 @@ impl LeafAllocator {
     pub fn high_water(&self) -> u64 {
         self.next
     }
+}
 
-    /// Serialize for a crash-recovery snapshot. The free list keeps its
-    /// LIFO order (recycling order is behavior, not just bookkeeping).
-    pub fn save_state(&self, w: &mut SnapWriter) {
+/// Hand-written: `load` re-validates the allocator invariant — a leaf
+/// is live or free, never both, and `next` never passes `capacity` —
+/// so a corrupt snapshot cannot hand one counter slot to two owners.
+/// The free list keeps its LIFO order (recycling order is behavior,
+/// not just bookkeeping).
+impl Persist for LeafAllocator {
+    fn save(&self, w: &mut SnapWriter) {
         w.section("LEAF", 1);
-        w.u64(self.capacity);
-        w.u64(self.next);
-        w.seq(self.free.iter(), |w, &l| w.u64(l));
-        w.seq(self.live.iter(), |w, &l| w.u64(l));
+        w.put(&self.capacity);
+        w.put(&self.next);
+        w.put(&self.free);
+        w.put(&self.live);
     }
 
-    /// Rebuild from [`Self::save_state`] bytes, re-validating the
-    /// live/free disjointness invariant.
-    pub fn load_state(r: &mut SnapReader) -> Result<Self, SnapError> {
+    fn load(&mut self, r: &mut SnapReader, _what: &'static str) -> Result<(), SnapError> {
         r.section("LEAF", 1)?;
-        let capacity = r.u64("allocator capacity")?;
-        let next = r.u64("allocator next")?;
-        let nfree = r.seq_len("allocator free list")?;
-        let mut free = Vec::with_capacity(nfree);
-        for _ in 0..nfree {
-            free.push(r.u64("free leaf")?);
-        }
-        let nlive = r.seq_len("allocator live set")?;
-        let mut live = BTreeSet::new();
-        for _ in 0..nlive {
-            let leaf = r.u64("live leaf")?;
-            if !live.insert(leaf) {
-                return Err(SnapError::Corrupt {
-                    what: "duplicate live leaf",
-                    at: r.pos(),
-                });
-            }
-        }
-        if next > capacity || free.iter().any(|l| live.contains(l)) {
+        self.capacity.load(r, "allocator capacity")?;
+        self.next.load(r, "allocator next")?;
+        self.free.load(r, "allocator free list")?;
+        self.live.load(r, "allocator live set")?;
+        if self.next > self.capacity || self.free.iter().any(|l| self.live.contains(l)) {
             return Err(SnapError::Corrupt {
                 what: "allocator invariant (live/free overlap or next past capacity)",
                 at: r.pos(),
             });
         }
-        Ok(LeafAllocator {
-            capacity,
-            next,
-            free,
-            live,
-        })
+        Ok(())
     }
 }
 

@@ -9,8 +9,8 @@
 
 use std::collections::BTreeMap;
 
-use itesp_core::{MacKey, MetaAccess, SecurityEngine};
-use itesp_snap::{SnapError, SnapReader, SnapWriter};
+use itesp_core::{siphash24, MacKey, MetaAccess, SecurityEngine};
+use itesp_snap::{Persist, SnapError, SnapReader, SnapWriter};
 
 use crate::alloc::{LeafAllocator, LeafGrant};
 
@@ -20,11 +20,11 @@ pub const PAGE_BLOCKS: u64 = 64;
 
 /// Globally unique enclave identity; monotone across a manager's
 /// lifetime, never reused even when slots are.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Persist)]
 pub struct EnclaveId(pub u64);
 
 /// Where one of an enclave's virtual pages lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Persist)]
 pub struct PageInfo {
     /// Dense leaf-id inside the enclave's private tree.
     pub leaf: u64,
@@ -33,10 +33,14 @@ pub struct PageInfo {
 }
 
 /// One live enclave: identity, key, page table, per-leaf write
-/// counters, and the leaf-id namespace.
-#[derive(Debug, Clone)]
+/// counters, and the leaf-id namespace. The MAC key is *not* in the
+/// snapshot: it re-derives from the manager's master and the enclave
+/// id, so snapshot bytes never carry key material.
+#[derive(Debug, Clone, Default, Persist)]
+#[persist(section = "ENCL", version = 1)]
 pub struct Enclave {
     id: EnclaveId,
+    #[persist(skip)]
     key: MacKey,
     footprint_pages: u64,
     /// Pages the current private tree covers (grows by doubling).
@@ -88,64 +92,10 @@ impl Enclave {
     pub fn iter_pages(&self) -> impl Iterator<Item = (u64, PageInfo)> + '_ {
         self.pages.iter().map(|(&vpage, &info)| (vpage, info))
     }
-
-    /// Serialize one enclave's mutable state. The MAC key is *not*
-    /// serialized: it re-derives from the manager's master key and the
-    /// enclave id, so snapshot bytes never carry key material.
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.section("ENCL", 1);
-        w.u64(self.id.0);
-        w.u64(self.footprint_pages);
-        w.u64(self.tree_pages);
-        w.seq(self.pages.iter(), |w, (&vpage, info)| {
-            w.u64(vpage);
-            w.u64(info.leaf);
-            w.u64(info.ppage);
-        });
-        w.seq(self.counters.iter(), |w, (&leaf, &c)| {
-            w.u64(leaf);
-            w.u64(c);
-        });
-        self.allocator.save_state(w);
-    }
-
-    /// Rebuild from [`Self::save_state`] bytes, re-deriving the key
-    /// from `master`.
-    fn load_state(r: &mut SnapReader, master: u64) -> Result<Self, SnapError> {
-        r.section("ENCL", 1)?;
-        let id = EnclaveId(r.u64("enclave id")?);
-        let footprint_pages = r.u64("enclave footprint")?;
-        let tree_pages = r.u64("enclave tree pages")?;
-        let npages = r.seq_len("enclave page map")?;
-        let mut pages = BTreeMap::new();
-        for _ in 0..npages {
-            let vpage = r.u64("vpage")?;
-            let leaf = r.u64("page leaf")?;
-            let ppage = r.u64("page frame")?;
-            pages.insert(vpage, PageInfo { leaf, ppage });
-        }
-        let ncounters = r.seq_len("enclave counters")?;
-        let mut counters = BTreeMap::new();
-        for _ in 0..ncounters {
-            let leaf = r.u64("counter leaf")?;
-            let c = r.u64("counter value")?;
-            counters.insert(leaf, c);
-        }
-        let allocator = LeafAllocator::load_state(r)?;
-        Ok(Enclave {
-            id,
-            key: MacKey::derive(master, id.0),
-            footprint_pages,
-            tree_pages,
-            pages,
-            counters,
-            allocator,
-        })
-    }
 }
 
 /// Lifecycle event counts, accumulated across the manager's lifetime.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Persist)]
 pub struct LifecycleStats {
     pub created: u64,
     pub destroyed: u64,
@@ -411,7 +361,7 @@ impl EnclaveManager {
     /// flight.
     pub fn export_enclave(&self, slot: usize, w: &mut SnapWriter) -> Option<EnclaveId> {
         let enc = self.slots[slot].as_ref()?;
-        enc.save_state(w);
+        w.put(enc);
         Some(enc.id())
     }
 
@@ -439,7 +389,8 @@ impl EnclaveManager {
             self.slots[slot].is_none(),
             "slot {slot} already holds a live enclave"
         );
-        let mut enc = Enclave::load_state(r, self.master)?;
+        let mut enc: Enclave = r.get("migrated enclave")?;
+        enc.key = MacKey::derive(self.master, enc.id.0);
         for info in enc.pages.values_mut() {
             info.ppage = remap_frame(info.ppage);
         }
@@ -452,61 +403,53 @@ impl EnclaveManager {
         traffic.extend(engine.repartition_caches(&mask));
         Ok((id, traffic))
     }
+}
 
-    /// Serialize the full lifecycle state: every slot's enclave, the
-    /// id watermark, and the accumulated stats. The master key *is*
-    /// serialized (it's simulation seed material, not a secret) so a
-    /// recovered manager derives identical per-enclave keys.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.section("EMGR", 1);
-        w.u64(self.master);
-        w.u64(self.next_id);
-        w.bool(self.rebuild_parity);
-        w.seq(self.slots.iter(), |w, slot| {
-            w.bool(slot.is_some());
-            if let Some(enc) = slot {
-                enc.save_state(w);
-            }
-        });
-        let s = &self.stats;
-        w.u64(s.created);
-        w.u64(s.destroyed);
-        w.u64(s.grows);
-        w.u64(s.pages_freed);
-        w.u64(s.leaves_recycled);
-        w.u64(s.peak_live_pages);
+/// One-way tag of a master seed, stored in snapshots in place of the
+/// seed itself: it proves which master a snapshot belongs to without
+/// carrying the material every per-enclave MAC key derives from. Keyed
+/// by the master's key for enclave id `u64::MAX`, an id no manager
+/// reaches.
+fn master_fingerprint(master: u64) -> u64 {
+    siphash24(
+        &MacKey::derive(master, u64::MAX),
+        b"itesp enclave-manager master fingerprint",
+    )
+}
+
+/// Hand-written: the master seed is not written — only its
+/// [`master_fingerprint`], which `load` checks against this manager's
+/// master — the slot count is checked against the constructed manager,
+/// and every restored enclave's MAC key is re-derived from the master.
+impl Persist for EnclaveManager {
+    fn save(&self, w: &mut SnapWriter) {
+        w.section("EMGR", 2);
+        w.put(&master_fingerprint(self.master));
+        w.put(&self.next_id);
+        w.put(&self.rebuild_parity);
+        w.put(&self.slots);
+        w.put(&self.stats);
     }
 
-    /// Restore from [`Self::save_state`] bytes. `self` must have been
-    /// built with the same slot count as the snapshotted manager.
-    pub fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        r.section("EMGR", 1)?;
-        self.master = r.u64("manager master key")?;
-        self.next_id = r.u64("manager next id")?;
-        self.rebuild_parity = r.bool("manager rebuild_parity")?;
-        let nslots = r.seq_len("manager slots")?;
-        if nslots != self.slots.len() {
+    fn load(&mut self, r: &mut SnapReader, _what: &'static str) -> Result<(), SnapError> {
+        r.section("EMGR", 2)?;
+        let at = r.pos();
+        if r.get::<u64>("manager master fingerprint")? != master_fingerprint(self.master) {
             return Err(SnapError::Corrupt {
-                what: "manager slot count (snapshot from a different configuration)",
-                at: r.pos(),
+                what: "manager master-key fingerprint (snapshot from a different master key)",
+                at,
             });
         }
-        for slot in &mut self.slots {
-            *slot = if r.bool("slot occupancy")? {
-                Some(Enclave::load_state(r, self.master)?)
-            } else {
-                None
-            };
+        self.next_id.load(r, "manager next id")?;
+        self.rebuild_parity.load(r, "manager rebuild_parity")?;
+        r.load_exact(
+            &mut self.slots,
+            "manager slot count (snapshot from a different configuration)",
+        )?;
+        for enc in self.slots.iter_mut().flatten() {
+            enc.key = MacKey::derive(self.master, enc.id.0);
         }
-        self.stats = LifecycleStats {
-            created: r.u64("stats created")?,
-            destroyed: r.u64("stats destroyed")?,
-            grows: r.u64("stats grows")?,
-            pages_freed: r.u64("stats pages_freed")?,
-            leaves_recycled: r.u64("stats leaves_recycled")?,
-            peak_live_pages: r.u64("stats peak_live_pages")?,
-        };
-        Ok(())
+        self.stats.load(r, "lifecycle stats")
     }
 }
 
@@ -721,5 +664,39 @@ mod tests {
         m.free_page(&mut e, 0, 1);
         assert_eq!(m.total_live_pages(), 4);
         assert_eq!(m.stats().peak_live_pages, 6);
+    }
+
+    #[test]
+    fn snapshots_carry_a_master_fingerprint_never_the_master() {
+        let master = 0x5A17_C0DE_F00D_BEEF_u64;
+        let mut e = engine(Scheme::Itesp);
+        let mut m = EnclaveManager::new(4, master);
+        m.create(&mut e, 1, 64);
+        m.touch_page(&mut e, 1, 3, 77);
+        let mut w = SnapWriter::new();
+        w.put(&m);
+        let bytes = w.into_bytes();
+        assert!(
+            !bytes.windows(8).any(|b| b == master.to_le_bytes()),
+            "snapshot bytes contain the master seed"
+        );
+
+        // The same master restores, re-deriving the enclave's key.
+        let mut same = EnclaveManager::new(4, master);
+        same.load(&mut SnapReader::new(&bytes), "manager").unwrap();
+        assert_eq!(same.key_of(1), m.key_of(1));
+        assert_eq!(same.counter_of(1, 0), m.counter_of(1, 0));
+
+        // A different master is refused with a typed error instead of
+        // silently deriving different keys.
+        let mut other = EnclaveManager::new(4, master ^ 1);
+        let err = other
+            .load(&mut SnapReader::new(&bytes), "manager")
+            .unwrap_err();
+        assert!(
+            matches!(err, SnapError::Corrupt { what, .. } if what.contains("master")),
+            "{err}"
+        );
+        assert_eq!(other.live_count(), 0);
     }
 }

@@ -31,7 +31,7 @@ use std::path::Path;
 use itesp_core::Scheme;
 use itesp_enclave::PAGE_BLOCKS;
 use itesp_sim::SnapshotSink;
-use itesp_snap::{SnapError, SnapReader, SnapWriter, SnapshotMeta, StoreError};
+use itesp_snap::{Persist, SnapError, SnapReader, SnapWriter, SnapshotMeta, StoreError};
 use itesp_trace::record::page_of;
 use itesp_trace::{MemOp, PAGE_BYTES};
 
@@ -88,7 +88,7 @@ impl ClusterConfig {
 
 /// Cluster-wide operational counters (schedule-dependent; excluded
 /// from the per-tenant artifact).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, Persist)]
 pub struct ClusterStats {
     pub migrations_started: u64,
     pub migrations_committed: u64,
@@ -98,17 +98,17 @@ pub struct ClusterStats {
 }
 
 /// One in-flight migration.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Persist)]
 pub struct Transfer {
     pub tenant: u64,
     pub from: usize,
     pub to: usize,
-    pub blob: Vec<u8>,
     /// Frames already on the wire.
     pub sent: usize,
+    pub blob: Vec<u8>,
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Persist)]
 enum Phase {
     /// Not yet admitted.
     Queued,
@@ -122,7 +122,7 @@ enum Phase {
     Done(TenantFinal),
 }
 
-#[derive(Debug)]
+#[derive(Debug, Persist)]
 struct TenantRuntime {
     phase: Phase,
     ledger: TenantLedger,
@@ -363,7 +363,7 @@ impl Cluster {
         let tenant = header.tenant;
         // Checks passed: decode and install.
         let mut r = SnapReader::new(blob);
-        proto::read_header(&mut r)?;
+        r.get::<proto::BlobHeader>("blob header")?;
         let (id, ledger) = self.nodes[node].import(slot, &mut r)?;
         r.finish()?;
         assert_eq!(id.0, tenant, "blob body names a different tenant");
@@ -836,49 +836,20 @@ impl Cluster {
     }
 
     /// Serialize the full cluster (minus the workload and schedules,
-    /// which are inputs the recoverer re-supplies).
+    /// which are inputs the recoverer re-supplies). Hand-written, like
+    /// [`Self::load_state`]: node and tenant counts are checked against
+    /// the constructed topology and workload.
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.section("CLUS", 1);
-        w.u64(self.tick);
-        w.usize(self.next_admit);
-        w.usize(self.planned_done);
-        w.usize(self.drains_done);
-        for v in [
-            self.stats.migrations_started,
-            self.stats.migrations_committed,
-            self.stats.migrations_skipped,
-            self.stats.drains_completed,
-        ] {
-            w.u64(v);
-        }
-        self.dir.save_state(w);
-        w.seq(self.nodes.iter(), |w, n| n.save_state(w));
-        w.seq(self.tenants.iter(), |w, rt| {
-            match &rt.phase {
-                Phase::Queued => w.u8(0),
-                Phase::Live { node } => {
-                    w.u8(1);
-                    w.usize(*node);
-                }
-                Phase::Migrating { from, to } => {
-                    w.u8(2);
-                    w.usize(*from);
-                    w.usize(*to);
-                }
-                Phase::Done(f) => {
-                    w.u8(3);
-                    f.save_state(w);
-                }
-            }
-            rt.ledger.save_state(w);
-        });
-        w.seq(self.inflight.iter(), |w, t| {
-            w.u64(t.tenant);
-            w.usize(t.from);
-            w.usize(t.to);
-            w.usize(t.sent);
-            w.bytes(&t.blob);
-        });
+        w.put(&self.tick);
+        w.put(&self.next_admit);
+        w.put(&self.planned_done);
+        w.put(&self.drains_done);
+        w.put(&self.stats);
+        w.put(&self.dir);
+        w.put(self.nodes.as_slice());
+        w.put(self.tenants.as_slice());
+        w.put(&self.inflight);
     }
 
     /// Restore into a freshly built cluster (same config + workload;
@@ -888,69 +859,21 @@ impl Cluster {
     /// [`SnapError`] on decode failure or config mismatch.
     pub fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
         r.section("CLUS", 1)?;
-        self.tick = r.u64("cluster tick")?;
-        self.next_admit = r.usize("cluster next admit")?;
-        self.planned_done = r.usize("cluster planned done")?;
-        self.drains_done = r.usize("cluster drains done")?;
-        self.stats.migrations_started = r.u64("migrations started")?;
-        self.stats.migrations_committed = r.u64("migrations committed")?;
-        self.stats.migrations_skipped = r.u64("migrations skipped")?;
-        self.stats.drains_completed = r.u64("drains completed")?;
-        self.dir = Directory::load_state(r)?;
-        let n = r.seq_len("cluster nodes")?;
-        if n != self.nodes.len() {
-            return Err(SnapError::Corrupt {
-                what: "cluster node count (snapshot from a different topology)",
-                at: r.pos(),
-            });
-        }
-        for node in &mut self.nodes {
-            node.load_state(r)?;
-        }
-        let t = r.seq_len("cluster tenants")?;
-        if t != self.tenants.len() {
-            return Err(SnapError::Corrupt {
-                what: "cluster tenant count (snapshot from a different workload)",
-                at: r.pos(),
-            });
-        }
-        for rt in &mut self.tenants {
-            rt.phase = match r.u8("tenant phase tag")? {
-                0 => Phase::Queued,
-                1 => Phase::Live {
-                    node: r.usize("tenant node")?,
-                },
-                2 => Phase::Migrating {
-                    from: r.usize("tenant from")?,
-                    to: r.usize("tenant to")?,
-                },
-                3 => Phase::Done(TenantFinal::load_state(r)?),
-                _ => {
-                    return Err(SnapError::Corrupt {
-                        what: "tenant phase tag",
-                        at: r.pos(),
-                    })
-                }
-            };
-            rt.ledger = TenantLedger::load_state(r)?;
-        }
-        let n = r.seq_len("cluster transfers")?;
-        self.inflight.clear();
-        for _ in 0..n {
-            let tenant = r.u64("transfer tenant")?;
-            let from = r.usize("transfer from")?;
-            let to = r.usize("transfer to")?;
-            let sent = r.usize("transfer sent")?;
-            let blob = r.bytes("transfer blob")?.to_vec();
-            self.inflight.push(Transfer {
-                tenant,
-                from,
-                to,
-                blob,
-                sent,
-            });
-        }
-        Ok(())
+        self.tick.load(r, "cluster tick")?;
+        self.next_admit.load(r, "cluster next admit")?;
+        self.planned_done.load(r, "cluster planned done")?;
+        self.drains_done.load(r, "cluster drains done")?;
+        self.stats.load(r, "cluster stats")?;
+        self.dir.load(r, "cluster directory")?;
+        r.load_exact(
+            &mut self.nodes,
+            "cluster node count (snapshot from a different topology)",
+        )?;
+        r.load_exact(
+            &mut self.tenants,
+            "cluster tenant count (snapshot from a different workload)",
+        )?;
+        self.inflight.load(r, "cluster transfers")
     }
 
     /// Rebuild a cluster from its durable snapshots: construct the

@@ -8,24 +8,25 @@
 
 use std::collections::BTreeMap;
 
-use itesp_snap::{SnapError, SnapReader, SnapWriter};
+use itesp_snap::Persist;
 
 use crate::error::MigrateError;
 use crate::proto::BlobHeader;
 
 /// Where the directory believes a tenant is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Persist)]
 pub enum Residence {
     /// Live on one node (the only state that executes ops).
     Live { node: usize },
     /// Frozen at `from`, blob in flight to `to`.
     Migrating { from: usize, to: usize },
     /// Script complete; the enclave was torn down.
+    #[default]
     Done,
 }
 
 /// One tenant's directory record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Persist)]
 pub struct DirEntry {
     /// Migration epoch: 1 at admission, +1 per committed migration.
     pub epoch: u64,
@@ -33,7 +34,8 @@ pub struct DirEntry {
 }
 
 /// The cluster-global tenant directory.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Persist)]
+#[persist(section = "CDIR", version = 1)]
 pub struct Directory {
     entries: BTreeMap<u64, DirEntry>,
 }
@@ -139,54 +141,6 @@ impl Directory {
             _ => Err(MigrateError::NotInMigration { tenant, node }),
         }
     }
-
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.section("CDIR", 1);
-        w.seq(self.entries.iter(), |w, (&tenant, e)| {
-            w.u64(tenant);
-            w.u64(e.epoch);
-            match e.residence {
-                Residence::Live { node } => {
-                    w.u8(0);
-                    w.usize(node);
-                }
-                Residence::Migrating { from, to } => {
-                    w.u8(1);
-                    w.usize(from);
-                    w.usize(to);
-                }
-                Residence::Done => w.u8(2),
-            }
-        });
-    }
-
-    pub fn load_state(r: &mut SnapReader) -> Result<Self, SnapError> {
-        r.section("CDIR", 1)?;
-        let n = r.seq_len("directory entries")?;
-        let mut entries = BTreeMap::new();
-        for _ in 0..n {
-            let tenant = r.u64("directory tenant")?;
-            let epoch = r.u64("directory epoch")?;
-            let residence = match r.u8("residence tag")? {
-                0 => Residence::Live {
-                    node: r.usize("residence node")?,
-                },
-                1 => Residence::Migrating {
-                    from: r.usize("residence from")?,
-                    to: r.usize("residence to")?,
-                },
-                2 => Residence::Done,
-                _ => {
-                    return Err(SnapError::Corrupt {
-                        what: "residence tag",
-                        at: r.pos(),
-                    })
-                }
-            };
-            entries.insert(tenant, DirEntry { epoch, residence });
-        }
-        Ok(Directory { entries })
-    }
 }
 
 #[cfg(test)]
@@ -243,11 +197,11 @@ mod tests {
         d.begin_migration(1, 2, 3);
         d.admit(2, 1);
         d.finish(2);
-        let mut w = SnapWriter::new();
-        d.save_state(&mut w);
+        let mut w = itesp_snap::SnapWriter::new();
+        w.put(&d);
         let bytes = w.into_bytes();
-        let mut r = SnapReader::new(&bytes);
-        let back = Directory::load_state(&mut r).unwrap();
+        let mut r = itesp_snap::SnapReader::new(&bytes);
+        let back: Directory = r.get("directory").unwrap();
         r.finish().unwrap();
         assert_eq!(back, d);
     }

@@ -13,7 +13,7 @@ use std::collections::BTreeSet;
 
 use itesp_core::mac::siphash24_words;
 use itesp_core::MacKey;
-use itesp_snap::{SnapError, SnapReader, SnapWriter};
+use itesp_snap::Persist;
 
 /// xorshift64: the tenant fault stream's step function. Never maps a
 /// nonzero state to zero.
@@ -49,7 +49,8 @@ pub fn counter_checksum(key: &MacKey, triples: impl Iterator<Item = (u64, u64, u
 }
 
 /// A tenant's functional history, accumulated one op per cluster tick.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Persist)]
+#[persist(section = "TLGR", version = 1)]
 pub struct TenantLedger {
     /// Ops executed (reads + writes).
     pub ops: u64,
@@ -90,57 +91,6 @@ impl TenantLedger {
             ..TenantLedger::default()
         }
     }
-
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.section("TLGR", 1);
-        for v in [
-            self.ops,
-            self.reads,
-            self.writes,
-            self.pages_touched,
-            self.pages_freed,
-            self.grow_events,
-            self.grow_meta,
-            self.free_meta,
-            self.leaves_recycled,
-            self.faults_injected,
-            self.fault_parity_hits,
-            self.rng,
-            self.next_record,
-            self.frees_done,
-        ] {
-            w.u64(v);
-        }
-        w.seq(self.freed_leaves.iter(), |w, &leaf| w.u64(leaf));
-    }
-
-    pub fn load_state(r: &mut SnapReader) -> Result<Self, SnapError> {
-        r.section("TLGR", 1)?;
-        let mut l = TenantLedger::default();
-        for v in [
-            &mut l.ops,
-            &mut l.reads,
-            &mut l.writes,
-            &mut l.pages_touched,
-            &mut l.pages_freed,
-            &mut l.grow_events,
-            &mut l.grow_meta,
-            &mut l.free_meta,
-            &mut l.leaves_recycled,
-            &mut l.faults_injected,
-            &mut l.fault_parity_hits,
-            &mut l.rng,
-            &mut l.next_record,
-            &mut l.frees_done,
-        ] {
-            *v = r.u64("ledger counter")?;
-        }
-        let n = r.seq_len("ledger freed leaves")?;
-        for _ in 0..n {
-            l.freed_leaves.insert(r.u64("freed leaf")?);
-        }
-        Ok(l)
-    }
 }
 
 /// What a tenant leaves behind when its script completes: the ledger
@@ -148,7 +98,8 @@ impl TenantLedger {
 /// byte-identity artifact — every field must be placement- and
 /// timing-independent (no engine cache stats, no migration counts, no
 /// physical addresses).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, Persist)]
+#[persist(section = "TFIN", version = 1)]
 pub struct TenantFinal {
     pub ops: u64,
     pub reads: u64,
@@ -172,56 +123,6 @@ pub struct TenantFinal {
     pub counter_checksum: u64,
 }
 
-impl TenantFinal {
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.section("TFIN", 1);
-        for v in [
-            self.ops,
-            self.reads,
-            self.writes,
-            self.pages_touched,
-            self.pages_freed,
-            self.grow_events,
-            self.grow_meta,
-            self.free_meta,
-            self.leaves_recycled,
-            self.faults_injected,
-            self.fault_parity_hits,
-            self.tree_pages,
-            self.leaf_high_water,
-            self.live_pages_at_exit,
-            self.counter_checksum,
-        ] {
-            w.u64(v);
-        }
-    }
-
-    pub fn load_state(r: &mut SnapReader) -> Result<Self, SnapError> {
-        r.section("TFIN", 1)?;
-        let mut f = [0u64; 15];
-        for v in &mut f {
-            *v = r.u64("tenant final field")?;
-        }
-        Ok(TenantFinal {
-            ops: f[0],
-            reads: f[1],
-            writes: f[2],
-            pages_touched: f[3],
-            pages_freed: f[4],
-            grow_events: f[5],
-            grow_meta: f[6],
-            free_meta: f[7],
-            leaves_recycled: f[8],
-            faults_injected: f[9],
-            fault_parity_hits: f[10],
-            tree_pages: f[11],
-            leaf_high_water: f[12],
-            live_pages_at_exit: f[13],
-            counter_checksum: f[14],
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,11 +136,11 @@ mod tests {
         l.pages_touched = 12;
         l.next_record = 100;
         l.freed_leaves.extend([3, 9, 11]);
-        let mut w = SnapWriter::new();
-        l.save_state(&mut w);
+        let mut w = itesp_snap::SnapWriter::new();
+        w.put(&l);
         let bytes = w.into_bytes();
-        let mut r = SnapReader::new(&bytes);
-        let back = TenantLedger::load_state(&mut r).unwrap();
+        let mut r = itesp_snap::SnapReader::new(&bytes);
+        let back: TenantLedger = r.get("ledger").unwrap();
         r.finish().unwrap();
         assert_eq!(back, l);
     }

@@ -3,7 +3,7 @@
 
 use itesp_core::{EngineConfig, MetaAccess, SecurityEngine};
 use itesp_enclave::{EnclaveId, EnclaveManager};
-use itesp_snap::{SnapError, SnapReader, SnapWriter};
+use itesp_snap::{Persist, SnapError, SnapReader, SnapWriter};
 
 use crate::cluster::ClusterConfig;
 use crate::ledger::TenantLedger;
@@ -12,7 +12,7 @@ use crate::ledger::TenantLedger;
 /// deliberately *excluded* from the deterministic per-tenant artifact
 /// — how often a tenant moved is a property of the schedule, not of
 /// the tenant.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, Persist)]
 pub struct NodeStats {
     pub admissions: u64,
     pub migrations_in: u64,
@@ -197,53 +197,41 @@ impl Node {
             *next += 1;
             f
         })?;
-        let ledger = TenantLedger::load_state(r)?;
+        let ledger: TenantLedger = r.get("tenant ledger")?;
         self.stats.migrations_in += 1;
         Ok((id, ledger))
     }
+}
 
-    pub fn save_state(&self, w: &mut SnapWriter) {
+/// Hand-written: the stored node id must match this node's, and the
+/// engine checks its own config fingerprint.
+impl Persist for Node {
+    fn save(&self, w: &mut SnapWriter) {
         w.section("NODE", 1);
-        w.usize(self.id);
-        self.engine.save_state(w);
-        self.mgr.save_state(w);
-        w.u64(self.next_frame);
-        w.bool(self.draining);
-        w.bool(self.retired);
-        for v in [
-            self.stats.admissions,
-            self.stats.migrations_in,
-            self.stats.migrations_out,
-            self.stats.transfer_bytes,
-        ] {
-            w.u64(v);
-        }
+        w.put(&self.id);
+        w.put(&self.engine);
+        w.put(&self.mgr);
+        w.put(&self.next_frame);
+        w.put(&self.draining);
+        w.put(&self.retired);
+        w.put(&self.stats);
     }
 
-    /// Restore a freshly built node (same cluster config) in place.
-    ///
-    /// # Errors
-    /// [`SnapError`] on decode failure, including the engine's config
-    /// fingerprint check.
-    pub fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+    fn load(&mut self, r: &mut SnapReader, _what: &'static str) -> Result<(), SnapError> {
         r.section("NODE", 1)?;
-        let id = r.usize("node id")?;
-        if id != self.id {
+        let at = r.pos();
+        if r.get::<usize>("node id")? != self.id {
             return Err(SnapError::Corrupt {
                 what: "node id (snapshot from a different node)",
-                at: r.pos(),
+                at,
             });
         }
-        self.engine.load_state(r)?;
-        self.mgr.load_state(r)?;
-        self.next_frame = r.u64("node next frame")?;
-        self.draining = r.bool("node draining")?;
-        self.retired = r.bool("node retired")?;
-        self.stats.admissions = r.u64("node admissions")?;
-        self.stats.migrations_in = r.u64("node migrations in")?;
-        self.stats.migrations_out = r.u64("node migrations out")?;
-        self.stats.transfer_bytes = r.u64("node transfer bytes")?;
-        Ok(())
+        self.engine.load(r, "node engine")?;
+        self.mgr.load(r, "node enclave manager")?;
+        self.next_frame.load(r, "node next frame")?;
+        self.draining.load(r, "node draining")?;
+        self.retired.load(r, "node retired")?;
+        self.stats.load(r, "node stats")
     }
 }
 

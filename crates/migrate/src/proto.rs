@@ -16,7 +16,7 @@
 //! ticks and a crash can land mid-flight.
 
 use itesp_enclave::EnclaveManager;
-use itesp_snap::{SnapError, SnapReader, SnapWriter};
+use itesp_snap::{Persist, SnapError, SnapReader, SnapWriter};
 
 use crate::error::MigrateError;
 use crate::ledger::TenantLedger;
@@ -27,7 +27,8 @@ pub const FRAME_HEADER: usize = 16;
 const FRAME_MAGIC: [u8; 4] = *b"ITMF";
 
 /// The verified-before-decode prefix of a migration blob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Persist)]
+#[persist(section = "MIGB", version = 1)]
 pub struct BlobHeader {
     pub tenant: u64,
     /// Directory epoch at capture time.
@@ -36,28 +37,12 @@ pub struct BlobHeader {
     pub fingerprint: u64,
 }
 
-pub(crate) fn write_header(w: &mut SnapWriter, h: &BlobHeader) {
-    w.section("MIGB", 1);
-    w.u64(h.tenant);
-    w.u64(h.epoch);
-    w.u64(h.fingerprint);
-}
-
-pub(crate) fn read_header(r: &mut SnapReader) -> Result<BlobHeader, SnapError> {
-    r.section("MIGB", 1)?;
-    Ok(BlobHeader {
-        tenant: r.u64("blob tenant")?,
-        epoch: r.u64("blob epoch")?,
-        fingerprint: r.u64("blob fingerprint")?,
-    })
-}
-
 /// Decode just the header of a blob (cheap, no state is touched).
 ///
 /// # Errors
 /// [`SnapError`] if the prefix does not parse.
 pub fn peek_header(blob: &[u8]) -> Result<BlobHeader, SnapError> {
-    read_header(&mut SnapReader::new(blob))
+    SnapReader::new(blob).get("blob header")
 }
 
 /// Serialize a frozen tenant into a migration blob. The enclave
@@ -70,12 +55,12 @@ pub(crate) fn encode_blob(
     ledger: &TenantLedger,
 ) -> Vec<u8> {
     let mut w = SnapWriter::new();
-    write_header(&mut w, header);
+    w.put(header);
     let id = mgr
         .export_enclave(slot, &mut w)
         .expect("exporting an empty slot");
     assert_eq!(id.0, header.tenant, "slot/tenant mismatch in export");
-    ledger.save_state(&mut w);
+    w.put(ledger);
     w.into_bytes()
 }
 
@@ -177,7 +162,7 @@ mod tests {
             fingerprint: 0xdead_beef,
         };
         let mut w = SnapWriter::new();
-        write_header(&mut w, &h);
+        w.put(&h);
         w.u64(12345); // trailing state the peek must not require
         let bytes = w.into_bytes();
         assert_eq!(peek_header(&bytes).unwrap(), h);

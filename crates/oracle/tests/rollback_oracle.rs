@@ -24,7 +24,7 @@ use std::path::PathBuf;
 use itesp_core::{EngineConfig, Scheme, SecurityEngine};
 use itesp_enclave::EnclaveManager;
 use itesp_oracle::with_seeds;
-use itesp_snap::{SnapReader, SnapWriter, SnapshotStore, StoreError};
+use itesp_snap::{Persist, SnapReader, SnapWriter, SnapshotStore, StoreError};
 
 const SLOTS: usize = 4;
 
@@ -40,8 +40,8 @@ fn tmpdir(seed: u64) -> PathBuf {
 /// One committed state: engine bytes then manager bytes.
 fn commit(store: &SnapshotStore, step: u64, engine: &SecurityEngine, mgr: &EnclaveManager) -> u64 {
     let mut w = SnapWriter::new();
-    engine.save_state(&mut w);
-    mgr.save_state(&mut w);
+    w.put(engine);
+    w.put(mgr);
     store.append(step, &w.into_bytes()).unwrap().seq
 }
 
@@ -51,8 +51,8 @@ fn restore(store: &SnapshotStore, seq: u64, seed: u64) -> (SecurityEngine, Encla
     let mut engine = SecurityEngine::new(EngineConfig::paper_default(Scheme::Itesp));
     let mut mgr = EnclaveManager::new(SLOTS, seed);
     let mut r = SnapReader::new(&payload);
-    engine.load_state(&mut r).unwrap();
-    mgr.load_state(&mut r).unwrap();
+    engine.load(&mut r, "engine").unwrap();
+    mgr.load(&mut r, "manager").unwrap();
     r.finish().unwrap();
     (engine, mgr)
 }

@@ -2,7 +2,7 @@
 //!
 //! For every scheme in the paper: drive the engine halfway through a
 //! seeded access stream, serialize it with
-//! [`SecurityEngine::save_state`], restore the bytes into a freshly
+//! its [`Persist`] impl, restore the bytes into a freshly
 //! built engine, and continue *both* engines lockstep over the rest of
 //! the stream. Any divergence — per-access outcomes or final
 //! statistics — means the snapshot dropped or distorted mutable state.
@@ -15,7 +15,7 @@
 
 use itesp_core::{AccessRequest, EngineConfig, Scheme, SecurityEngine};
 use itesp_oracle::with_seeds;
-use itesp_snap::{SnapReader, SnapWriter};
+use itesp_snap::{Persist, SnapReader, SnapWriter};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -50,7 +50,7 @@ fn gen_stream(rng: &mut StdRng, enclaves: usize) -> Vec<AccessRequest> {
 
 fn snapshot_bytes(engine: &SecurityEngine) -> Vec<u8> {
     let mut w = SnapWriter::new();
-    engine.save_state(&mut w);
+    w.put(engine);
     w.into_bytes()
 }
 
@@ -73,7 +73,7 @@ fn restored_engine_continues_identically_for_every_scheme() {
                 let bytes = snapshot_bytes(&original);
                 let mut restored = SecurityEngine::new(cfg);
                 let mut r = SnapReader::new(&bytes);
-                restored.load_state(&mut r).unwrap_or_else(|e| {
+                restored.load(&mut r, "engine").unwrap_or_else(|e| {
                     panic!("restore failed (scheme {scheme:?}, seed {seed}): {e}")
                 });
                 r.finish().unwrap();
@@ -127,7 +127,7 @@ fn restore_into_a_different_scheme_is_rejected() {
 
     let mut other = SecurityEngine::new(EngineConfig::paper_default(Scheme::Synergy));
     let mut r = SnapReader::new(&bytes);
-    let err = other.load_state(&mut r).unwrap_err();
+    let err = other.load(&mut r, "engine").unwrap_err();
     assert!(
         err.to_string().contains("fingerprint"),
         "mismatch error should name the fingerprint: {err}"

@@ -10,6 +10,7 @@
 //! single-bit upsets, single-pin (column) faults, and whole-chip faults
 //! (the chipkill case).
 
+use itesp_snap::Persist;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -87,7 +88,7 @@ impl CodeWord {
 }
 
 /// A hardware fault to inject.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Persist)]
 pub enum Fault {
     /// Single bit flip: chip, beat, pin.
     Bit { chip: u8, beat: u8, pin: u8 },
@@ -95,6 +96,14 @@ pub enum Fault {
     Pin { chip: u8, pin: u8 },
     /// Whole-chip failure: all 64 bits from the chip are corrupted.
     Chip { chip: u8 },
+}
+
+/// A placeholder that snapshot decoding overwrites (maps of faults
+/// build each value from `Default` before loading it).
+impl Default for Fault {
+    fn default() -> Self {
+        Fault::Chip { chip: 0 }
+    }
 }
 
 impl Fault {

@@ -13,11 +13,13 @@
 //! records the worst and mean gap between consecutive scrub passes —
 //! the measured analogue of the vulnerability window Table II bounds.
 
-use itesp_snap::{SnapError, SnapReader, SnapWriter};
+use itesp_snap::Persist;
 use serde::{Deserialize, Serialize};
 
-/// Scrubber configuration and bookkeeping.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Scrubber configuration and bookkeeping. The snapshot carries the
+/// window parameters plus the simulated-gap bookkeeping.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Persist)]
+#[persist(section = "SCRB", version = 1)]
 pub struct Scrubber {
     /// Periodic scrub interval, seconds.
     pub period_s: f64,
@@ -130,37 +132,6 @@ impl Scrubber {
         } else {
             self.gap_sum_cycles as f64 / self.gap_count as f64
         }
-    }
-
-    /// Serialize for a crash-recovery snapshot (window parameters plus
-    /// the simulated-gap bookkeeping).
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.section("SCRB", 1);
-        w.f64(self.period_s);
-        w.f64(self.reaction_s);
-        w.bool(self.scrub_on_detect);
-        w.u64(self.scrubs_run);
-        w.u64(self.errors_cleared);
-        w.opt_u64(self.last_scrub_cycle);
-        w.u64(self.worst_gap_cycles);
-        w.u64(self.gap_sum_cycles);
-        w.u64(self.gap_count);
-    }
-
-    /// Rebuild from [`Self::save_state`] bytes.
-    pub fn load_state(r: &mut SnapReader) -> Result<Self, SnapError> {
-        r.section("SCRB", 1)?;
-        Ok(Scrubber {
-            period_s: r.f64("scrub period")?,
-            reaction_s: r.f64("scrub reaction")?,
-            scrub_on_detect: r.bool("scrub on detect")?,
-            scrubs_run: r.u64("scrubs run")?,
-            errors_cleared: r.u64("errors cleared")?,
-            last_scrub_cycle: r.opt_u64("last scrub cycle")?,
-            worst_gap_cycles: r.u64("worst gap")?,
-            gap_sum_cycles: r.u64("gap sum")?,
-            gap_count: r.u64("gap count")?,
-        })
     }
 }
 

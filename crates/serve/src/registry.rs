@@ -146,31 +146,14 @@ impl Registry {
         format!("{{\n  \"tenants\": {tenants},\n  \"counters\": {counters}\n}}")
     }
 
-    /// Encode the registry into the snapshot wire format.
+    /// Encode the registry into the snapshot wire format: the tenants'
+    /// stats in tenant-id order (each record carries its own id).
     pub fn encode(&self) -> Vec<u8> {
         let tenants = self.tenants.lock().expect("registry lock");
         let mut w = SnapWriter::new();
         w.section("SRVT", 1);
-        w.seq(tenants.values(), |w, t| {
-            w.u64(t.tenant);
-            w.u64(t.request_seq);
-            w.str(&t.scheme);
-            w.str(&t.benchmark);
-            w.u64(t.records);
-            w.u64(t.cycles);
-            w.u64(t.baseline_cycles);
-            w.f64(t.slowdown);
-            w.f64(t.meta_per_access);
-            w.u64(t.metadata_cache_accesses);
-            w.u64(t.metadata_cache_hits);
-            w.u64(t.parity_cache_accesses);
-            w.u64(t.parity_cache_hits);
-            w.u64(t.ras_faults_injected);
-            w.u64(t.ras_detections);
-            w.u64(t.ras_corrections);
-            w.u64(t.ras_sdc_events);
-            w.u64(t.ras_due_events);
-        });
+        w.usize(tenants.len());
+        tenants.values().for_each(|t| w.put(t));
         w.into_bytes()
     }
 
@@ -181,32 +164,9 @@ impl Registry {
     pub fn restore(&self, payload: &[u8]) -> Result<(), SnapError> {
         let mut r = SnapReader::new(payload);
         r.section("SRVT", 1)?;
-        let n = r.seq_len("tenants")?;
-        let mut fresh = BTreeMap::new();
-        for _ in 0..n {
-            let t = TenantStats {
-                tenant: r.u64("tenant")?,
-                request_seq: r.u64("request_seq")?,
-                scheme: r.str("scheme")?.to_owned(),
-                benchmark: r.str("benchmark")?.to_owned(),
-                records: r.u64("records")?,
-                cycles: r.u64("cycles")?,
-                baseline_cycles: r.u64("baseline_cycles")?,
-                slowdown: r.f64("slowdown")?,
-                meta_per_access: r.f64("meta_per_access")?,
-                metadata_cache_accesses: r.u64("metadata_cache_accesses")?,
-                metadata_cache_hits: r.u64("metadata_cache_hits")?,
-                parity_cache_accesses: r.u64("parity_cache_accesses")?,
-                parity_cache_hits: r.u64("parity_cache_hits")?,
-                ras_faults_injected: r.u64("ras_faults_injected")?,
-                ras_detections: r.u64("ras_detections")?,
-                ras_corrections: r.u64("ras_corrections")?,
-                ras_sdc_events: r.u64("ras_sdc_events")?,
-                ras_due_events: r.u64("ras_due_events")?,
-            };
-            fresh.insert(t.tenant, t);
-        }
+        let tenants: Vec<TenantStats> = r.get("registry tenants")?;
         r.finish()?;
+        let fresh = tenants.into_iter().map(|t| (t.tenant, t)).collect();
         *self.tenants.lock().expect("registry lock") = fresh;
         Ok(())
     }

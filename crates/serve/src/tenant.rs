@@ -7,6 +7,7 @@
 //! on, and why the registry can treat re-completion as an idempotent
 //! overwrite.
 
+use itesp_snap::Persist;
 use serde::Serialize;
 
 use itesp_core::{EngineConfig, Scheme};
@@ -28,7 +29,8 @@ pub struct TenantRequest {
 /// The deterministic per-tenant result. Every field is a pure function
 /// of the request bytes; operational counters (rejects, retries) live
 /// in the registry's separate, explicitly non-deterministic section.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// Its field list is also the registry snapshot's per-tenant record.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Persist)]
 pub struct TenantStats {
     pub tenant: u64,
     pub request_seq: u64,

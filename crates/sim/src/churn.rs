@@ -12,7 +12,7 @@
 
 use std::collections::VecDeque;
 
-use itesp_snap::{SnapError, SnapReader, SnapWriter};
+use itesp_snap::{Persist, SnapError, SnapReader, SnapWriter};
 use serde::{Deserialize, Serialize};
 
 use itesp_core::{MetaAccess, SecurityEngine};
@@ -31,16 +31,25 @@ const MAPPER_MEAN_EXTENT: f64 = 4.0;
 /// Lifecycle activity measured over a churn run. Event counts come
 /// from the enclave manager; the traffic counters split the metadata
 /// DRAM accesses each lifecycle phase charged.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize, Persist)]
 pub struct ChurnStats {
+    // The lifecycle counts mirror the enclave manager's own stats
+    // (see [`ChurnDriver::stats`]); only the traffic counters are
+    // snapshot state of the driver.
+    #[persist(skip)]
     pub created: u64,
+    #[persist(skip)]
     pub destroyed: u64,
     /// Tree re-roots (first-touch allocation outgrew leaf capacity).
+    #[persist(skip)]
     pub grows: u64,
+    #[persist(skip)]
     pub pages_freed: u64,
     /// Leaf-id grants that reused a previously-freed id.
+    #[persist(skip)]
     pub leaves_recycled: u64,
     /// High-water mark of live pages across all slots.
+    #[persist(skip)]
     pub peak_live_pages: u64,
     /// Create: cache-repartition read-modify-writes.
     pub init_reads: u64,
@@ -266,119 +275,6 @@ impl ChurnDriver {
         traffic
     }
 
-    /// Serialize the churn state machine. Pending session queues are
-    /// stored as *remaining counts* — the schedule itself regenerates
-    /// deterministically from the workload the driver was built with,
-    /// so only consumption progress needs to persist. Mid-session free
-    /// events are stored verbatim (they are partially consumed).
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.section("CHRN", 1);
-        w.seq(self.queues.iter(), |w, q| w.usize(q.len()));
-        w.seq(self.frees.iter(), |w, fs| {
-            w.seq(fs.iter(), |w, f| {
-                w.usize(f.after_record);
-                w.u64(f.vaddr);
-            });
-        });
-        w.seq(self.live.iter(), |w, &l| w.bool(l));
-        w.seq(self.ready_at.iter(), |w, &r| w.u64(r));
-        self.mapper.save_state(w);
-        self.manager.save_state(w);
-        let t = &self.traffic;
-        for v in [
-            t.init_reads,
-            t.init_writes,
-            t.migration_reads,
-            t.grow_writes,
-            t.reset_reads,
-            t.reset_writes,
-            t.zeroize_reads,
-            t.zeroize_writes,
-        ] {
-            w.u64(v);
-        }
-    }
-
-    /// Restore from [`Self::save_state`] bytes into a driver freshly
-    /// built from the *same workload and seed*: already-consumed
-    /// sessions are popped off the regenerated queues.
-    pub fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        r.section("CHRN", 1)?;
-        let nslots = r.seq_len("churn slot queues")?;
-        if nslots != self.queues.len() {
-            return Err(SnapError::Corrupt {
-                what: "churn slot count (snapshot from a different workload)",
-                at: r.pos(),
-            });
-        }
-        for q in &mut self.queues {
-            let remaining = r.usize("remaining sessions")?;
-            if remaining > q.len() {
-                return Err(SnapError::Corrupt {
-                    what: "remaining sessions exceed the workload schedule",
-                    at: r.pos(),
-                });
-            }
-            while q.len() > remaining {
-                q.pop_front();
-            }
-        }
-        let n = r.seq_len("churn free queues")?;
-        if n != self.frees.len() {
-            return Err(SnapError::Corrupt {
-                what: "churn free-queue count",
-                at: r.pos(),
-            });
-        }
-        for fs in &mut self.frees {
-            let nf = r.seq_len("pending frees")?;
-            let mut q = VecDeque::with_capacity(nf);
-            for _ in 0..nf {
-                let after_record = r.usize("free after_record")?;
-                let vaddr = r.u64("free vaddr")?;
-                q.push_back(PageFree {
-                    after_record,
-                    vaddr,
-                });
-            }
-            *fs = q;
-        }
-        let n = r.seq_len("churn live flags")?;
-        if n != self.live.len() {
-            return Err(SnapError::Corrupt {
-                what: "churn live-flag count",
-                at: r.pos(),
-            });
-        }
-        for l in &mut self.live {
-            *l = r.bool("slot live")?;
-        }
-        let n = r.seq_len("churn ready_at")?;
-        if n != self.ready_at.len() {
-            return Err(SnapError::Corrupt {
-                what: "churn ready_at count",
-                at: r.pos(),
-            });
-        }
-        for ra in &mut self.ready_at {
-            *ra = r.u64("slot ready_at")?;
-        }
-        self.mapper.load_state(r)?;
-        self.manager.load_state(r)?;
-        self.traffic = ChurnStats {
-            init_reads: r.u64("churn traffic")?,
-            init_writes: r.u64("churn traffic")?,
-            migration_reads: r.u64("churn traffic")?,
-            grow_writes: r.u64("churn traffic")?,
-            reset_reads: r.u64("churn traffic")?,
-            reset_writes: r.u64("churn traffic")?,
-            zeroize_reads: r.u64("churn traffic")?,
-            zeroize_writes: r.u64("churn traffic")?,
-            ..ChurnStats::default()
-        };
-        Ok(())
-    }
-
     /// Merged lifecycle statistics for the run result.
     pub fn stats(&self) -> ChurnStats {
         let m = self.manager.stats();
@@ -391,6 +287,52 @@ impl ChurnDriver {
             peak_live_pages: m.peak_live_pages,
             ..self.traffic
         }
+    }
+}
+
+/// Hand-written: pending session queues are stored as *remaining
+/// counts* — the schedule regenerates deterministically from the
+/// workload the driver was built with, so `load` pops the consumed
+/// sessions off the regenerated queues — and every per-slot list is
+/// checked against the constructed slot count. Mid-session free
+/// events are stored verbatim (they are partially consumed).
+impl Persist for ChurnDriver {
+    fn save(&self, w: &mut SnapWriter) {
+        w.section("CHRN", 1);
+        w.put(&self.queues.iter().map(VecDeque::len).collect::<Vec<_>>());
+        w.put(&self.frees);
+        w.put(&self.live);
+        w.put(&self.ready_at);
+        w.put(&self.mapper);
+        w.put(&self.manager);
+        w.put(&self.traffic);
+    }
+
+    fn load(&mut self, r: &mut SnapReader, _what: &'static str) -> Result<(), SnapError> {
+        r.section("CHRN", 1)?;
+        let at = r.pos();
+        let remaining: Vec<usize> = r.get("remaining sessions")?;
+        if remaining.len() != self.queues.len() {
+            return Err(SnapError::Corrupt {
+                what: "churn slot count (snapshot from a different workload)",
+                at,
+            });
+        }
+        for (q, left) in self.queues.iter_mut().zip(remaining) {
+            if left > q.len() {
+                return Err(SnapError::Corrupt {
+                    what: "remaining sessions exceed the workload schedule",
+                    at,
+                });
+            }
+            q.drain(..q.len() - left);
+        }
+        r.load_exact(&mut self.frees, "churn free-queue count")?;
+        r.load_exact(&mut self.live, "churn live-flag count")?;
+        r.load_exact(&mut self.ready_at, "churn ready_at count")?;
+        self.mapper.load(r, "page mapper")?;
+        self.manager.load(r, "enclave manager")?;
+        self.traffic.load(r, "churn traffic")
     }
 }
 

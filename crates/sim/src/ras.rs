@@ -38,7 +38,7 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-use itesp_snap::{SnapError, SnapReader, SnapWriter};
+use itesp_snap::{Persist, SnapError, SnapReader, SnapWriter};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -140,7 +140,7 @@ impl RasConfig {
 
 /// Everything the RAS pipeline measured in one run; attached to
 /// [`RunResult`](crate::RunResult) (all zeros when RAS was off).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize, Persist)]
 pub struct RasStats {
     /// Random faults planted by the Poisson process.
     pub faults_injected: u64,
@@ -763,246 +763,72 @@ impl RasEngine {
         self.stats.errors_cleared = self.scrubber.errors_cleared();
         self.stats.worst_scrub_gap_cycles = self.scrubber.worst_gap_cycles();
     }
+}
 
-    /// Serialize the whole fault process (RNG position, planted faults,
-    /// patrol walk, retirement maps, stats). Config-derived fields
-    /// (`key`, `share`, `stride`, `detects`, the sorted drill list) are
-    /// rebuilt from `cfg` on restore and not serialized.
-    ///
-    /// # Panics
-    /// Panics if a fatal [`RasError`] is pending — a run that is about
-    /// to abort must not checkpoint as healthy.
-    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
+/// Hand-written: the RNG travels as its raw stream position, the drill
+/// cursor is checked against the drill list rebuilt from `cfg`, and a
+/// restore clears any pending fatal error. Config-derived fields
+/// (`key`, `share`, `stride`, `detects`, the sorted drill list) are
+/// rebuilt at construction and not stored.
+///
+/// # Panics
+/// `save` panics if a fatal [`RasError`] is pending — a run that is
+/// about to abort must not checkpoint as healthy.
+impl Persist for RasEngine {
+    fn save(&self, w: &mut SnapWriter) {
         assert!(
             self.fatal.is_none(),
             "refusing to snapshot a RAS pipeline with a pending fatal error"
         );
         w.section("RASE", 1);
-        for word in self.rng.state() {
-            w.u64(word);
-        }
-        let mut dead: Vec<_> = self.dead_chips.iter().map(|(&k, &c)| (k, c)).collect();
-        dead.sort_unstable();
-        w.seq(dead.iter(), |w, &((ch, rk), chip)| {
-            w.u32(ch);
-            w.u32(rk);
-            w.u8(chip);
-        });
-        let mut faults: Vec<_> = self.block_faults.iter().map(|(&a, &f)| (a, f)).collect();
-        faults.sort_unstable_by_key(|&(a, _)| a);
-        w.seq(faults.iter(), |w, &(addr, fault)| {
-            w.u64(addr);
-            match fault {
-                Fault::Bit { chip, beat, pin } => {
-                    w.u8(0);
-                    w.u8(chip);
-                    w.u8(beat);
-                    w.u8(pin);
-                }
-                Fault::Pin { chip, pin } => {
-                    w.u8(1);
-                    w.u8(chip);
-                    w.u8(pin);
-                }
-                Fault::Chip { chip } => {
-                    w.u8(2);
-                    w.u8(chip);
-                }
-            }
-        });
-        w.seq(self.footprint.iter(), |w, &b| w.u64(b));
-        let mut live: Vec<u64> = self.live.iter().copied().collect();
-        live.sort_unstable();
-        w.seq(live.iter(), |w, &b| w.u64(b));
-        w.usize(self.patrol_pos);
-        w.u64(self.next_patrol);
-        w.usize(self.burst_remaining);
-        w.u64(self.next_arrival);
-        w.usize(self.drill_pos);
-        let mut buckets: Vec<_> = self.buckets.iter().map(|(&p, &l)| (p, l)).collect();
-        buckets.sort_unstable();
-        w.seq(buckets.iter(), |w, &(page, level)| {
-            w.u64(page);
-            w.u32(level);
-        });
-        w.u64(self.next_leak);
-        let mut forward: Vec<_> = self.forward.iter().map(|(&a, &b)| (a, b)).collect();
-        forward.sort_unstable();
-        w.seq(forward.iter(), |w, &(a, b)| {
-            w.u64(a);
-            w.u64(b);
-        });
-        let mut reverse: Vec<_> = self.reverse.iter().map(|(&a, &b)| (a, b)).collect();
-        reverse.sort_unstable();
-        w.seq(reverse.iter(), |w, &(a, b)| {
-            w.u64(a);
-            w.u64(b);
-        });
-        w.u64(self.spare_pages);
-        w.seq(self.pending_retires.iter(), |w, &p| w.u64(p));
-        let mut broken: Vec<u64> = self.broken_groups.iter().copied().collect();
-        broken.sort_unstable();
-        w.seq(broken.iter(), |w, &g| w.u64(g));
-        self.scrubber.save_state(w);
-        let s = &self.stats;
-        for v in [
-            s.faults_injected,
-            s.drills_executed,
-            s.detections,
-            s.corrections,
-            s.sdc_events,
-            s.due_events,
-            s.degraded_due,
-            s.parity_reads,
-            s.companion_reads,
-            s.scrub_writebacks,
-            s.patrol_reads,
-            s.patrol_passes,
-            s.pages_retired,
-            s.migration_reads,
-            s.migration_writes,
-            s.parity_rebuild_reads,
-            s.parity_rebuild_writes,
-            s.broken_groups,
-            s.scrubs_run,
-            s.errors_cleared,
-            s.worst_scrub_gap_cycles,
-        ] {
-            w.u64(v);
-        }
+        w.put(&self.rng.state());
+        w.put(&self.dead_chips);
+        w.put(&self.block_faults);
+        w.put(&self.footprint);
+        w.put(&self.live);
+        w.put(&self.patrol_pos);
+        w.put(&self.next_patrol);
+        w.put(&self.burst_remaining);
+        w.put(&self.next_arrival);
+        w.put(&self.drill_pos);
+        w.put(&self.buckets);
+        w.put(&self.next_leak);
+        w.put(&self.forward);
+        w.put(&self.reverse);
+        w.put(&self.spare_pages);
+        w.put(&self.pending_retires);
+        w.put(&self.broken_groups);
+        w.put(&self.scrubber);
+        w.put(&self.stats);
     }
 
-    /// Restore from [`Self::save_state`] bytes into an engine freshly
-    /// built with the same `RasConfig` and scheme parameters.
-    pub(crate) fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+    fn load(&mut self, r: &mut SnapReader, _what: &'static str) -> Result<(), SnapError> {
         r.section("RASE", 1)?;
-        let mut rng_state = [0u64; 4];
-        for word in &mut rng_state {
-            *word = r.u64("ras rng state")?;
-        }
-        self.rng = StdRng::from_state(rng_state);
-        let n = r.seq_len("dead chips")?;
-        let mut dead_chips = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let ch = r.u32("dead chip channel")?;
-            let rk = r.u32("dead chip rank")?;
-            let chip = r.u8("dead chip index")?;
-            dead_chips.insert((ch, rk), chip);
-        }
-        self.dead_chips = dead_chips;
-        let n = r.seq_len("block faults")?;
-        let mut block_faults = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let addr = r.u64("fault addr")?;
-            let fault = match r.u8("fault tag")? {
-                0 => Fault::Bit {
-                    chip: r.u8("fault chip")?,
-                    beat: r.u8("fault beat")?,
-                    pin: r.u8("fault pin")?,
-                },
-                1 => Fault::Pin {
-                    chip: r.u8("fault chip")?,
-                    pin: r.u8("fault pin")?,
-                },
-                2 => Fault::Chip {
-                    chip: r.u8("fault chip")?,
-                },
-                _ => {
-                    return Err(SnapError::Corrupt {
-                        what: "fault tag",
-                        at: r.pos(),
-                    })
-                }
-            };
-            block_faults.insert(addr, fault);
-        }
-        self.block_faults = block_faults;
-        let n = r.seq_len("patrol footprint")?;
-        let mut footprint = Vec::with_capacity(n);
-        for _ in 0..n {
-            footprint.push(r.u64("footprint block")?);
-        }
-        self.footprint = footprint;
-        let n = r.seq_len("live blocks")?;
-        let mut live = HashSet::with_capacity(n);
-        for _ in 0..n {
-            live.insert(r.u64("live block")?);
-        }
-        self.live = live;
-        self.patrol_pos = r.usize("patrol pos")?;
-        self.next_patrol = r.u64("next patrol")?;
-        self.burst_remaining = r.usize("burst remaining")?;
-        self.next_arrival = r.u64("next arrival")?;
-        let drill_pos = r.usize("drill pos")?;
-        if drill_pos > self.drills.len() {
+        self.rng = StdRng::from_state(r.get("ras rng state")?);
+        self.dead_chips.load(r, "dead chips")?;
+        self.block_faults.load(r, "block faults")?;
+        self.footprint.load(r, "patrol footprint")?;
+        self.live.load(r, "live blocks")?;
+        self.patrol_pos.load(r, "patrol pos")?;
+        self.next_patrol.load(r, "next patrol")?;
+        self.burst_remaining.load(r, "burst remaining")?;
+        self.next_arrival.load(r, "next arrival")?;
+        self.drill_pos.load(r, "drill pos")?;
+        if self.drill_pos > self.drills.len() {
             return Err(SnapError::Corrupt {
                 what: "drill position past the drill list",
                 at: r.pos(),
             });
         }
-        self.drill_pos = drill_pos;
-        let n = r.seq_len("leaky buckets")?;
-        let mut buckets = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let page = r.u64("bucket page")?;
-            let level = r.u32("bucket level")?;
-            buckets.insert(page, level);
-        }
-        self.buckets = buckets;
-        self.next_leak = r.u64("next leak")?;
-        let n = r.seq_len("retire forward map")?;
-        let mut forward = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let a = r.u64("orig page")?;
-            let b = r.u64("current page")?;
-            forward.insert(a, b);
-        }
-        self.forward = forward;
-        let n = r.seq_len("retire reverse map")?;
-        let mut reverse = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let a = r.u64("current page")?;
-            let b = r.u64("orig page")?;
-            reverse.insert(a, b);
-        }
-        self.reverse = reverse;
-        self.spare_pages = r.u64("spare pages")?;
-        let n = r.seq_len("pending retires")?;
-        let mut pending = Vec::with_capacity(n);
-        for _ in 0..n {
-            pending.push(r.u64("pending retire")?);
-        }
-        self.pending_retires = pending;
-        let n = r.seq_len("broken groups")?;
-        let mut broken = HashSet::with_capacity(n);
-        for _ in 0..n {
-            broken.insert(r.u64("broken group")?);
-        }
-        self.broken_groups = broken;
-        self.scrubber = Scrubber::load_state(r)?;
-        self.stats = RasStats {
-            faults_injected: r.u64("ras stat")?,
-            drills_executed: r.u64("ras stat")?,
-            detections: r.u64("ras stat")?,
-            corrections: r.u64("ras stat")?,
-            sdc_events: r.u64("ras stat")?,
-            due_events: r.u64("ras stat")?,
-            degraded_due: r.u64("ras stat")?,
-            parity_reads: r.u64("ras stat")?,
-            companion_reads: r.u64("ras stat")?,
-            scrub_writebacks: r.u64("ras stat")?,
-            patrol_reads: r.u64("ras stat")?,
-            patrol_passes: r.u64("ras stat")?,
-            pages_retired: r.u64("ras stat")?,
-            migration_reads: r.u64("ras stat")?,
-            migration_writes: r.u64("ras stat")?,
-            parity_rebuild_reads: r.u64("ras stat")?,
-            parity_rebuild_writes: r.u64("ras stat")?,
-            broken_groups: r.u64("ras stat")?,
-            scrubs_run: r.u64("ras stat")?,
-            errors_cleared: r.u64("ras stat")?,
-            worst_scrub_gap_cycles: r.u64("ras stat")?,
-        };
+        self.buckets.load(r, "leaky buckets")?;
+        self.next_leak.load(r, "next leak")?;
+        self.forward.load(r, "retire forward map")?;
+        self.reverse.load(r, "retire reverse map")?;
+        self.spare_pages.load(r, "spare pages")?;
+        self.pending_retires.load(r, "pending retires")?;
+        self.broken_groups.load(r, "broken groups")?;
+        self.scrubber.load(r, "scrubber")?;
+        self.stats.load(r, "ras stats")?;
         self.fatal = None;
         Ok(())
     }

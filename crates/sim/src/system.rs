@@ -14,7 +14,7 @@ use std::collections::{HashMap, VecDeque};
 
 use itesp_core::{EngineConfig, MetaAccess, SecurityEngine};
 use itesp_dram::{Completion, DramConfig, IssuedCommand, MemorySystem, RequestId};
-use itesp_snap::{SnapError, SnapReader, SnapWriter};
+use itesp_snap::{Persist, SnapError, SnapReader, SnapWriter};
 use itesp_trace::{ChurnWorkload, MemOp, MultiProgram, PhysRecord, PAGE_BYTES};
 
 use crate::churn::{ChurnDriver, ChurnStats};
@@ -63,21 +63,24 @@ impl SystemConfig {
 
 /// A completed demand read's owner; writes and metadata requests are
 /// fire-and-forget and never enter this map.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Persist)]
 struct ReqTag {
     core: usize,
     rob_pos: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default, Persist)]
 struct PendingRead {
     rob_pos: u64,
     done: bool,
 }
 
-/// Per-core replay state.
-#[derive(Debug)]
+/// Per-core replay state. The trace is written by
+/// [`System::save_state`] itself: verbatim for churn runs, as a length
+/// check otherwise.
+#[derive(Debug, Persist)]
 struct Core {
+    #[persist(skip)]
     trace: Vec<PhysRecord>,
     /// Next record index.
     pos: usize,
@@ -145,7 +148,7 @@ impl Core {
 /// Per-core first-touch leaf-id assignment: physical page -> leaf id.
 /// `next` outlives removals and retirement remaps, so a retired page's
 /// fresh leaf id never collides with a live one.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Persist)]
 struct LeafMap {
     map: HashMap<u64, u64>,
     next: u64,
@@ -1162,219 +1165,84 @@ impl System {
     /// verbatim for churn runs (sessions swap traces at admission);
     /// static traces are construction inputs and only length-checked.
     ///
+    /// Hand-written, like [`Self::load_state`]: which optional layers
+    /// are present, the core count and static trace lengths are checked
+    /// against the constructed system, and the parking counters are
+    /// re-derived rather than stored.
+    ///
     /// # Panics
     /// Panics if DRAM command logging is enabled (logs are unbounded
     /// diagnostic state, not checkpointable) or a fatal RAS error is
     /// pending.
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.section("SYST", 1);
-        w.u64(self.cycle);
-        w.bool(self.ras.is_some());
-        w.bool(self.churn.is_some());
-        self.mem.save_state(w);
-        self.engine.save_state(w);
-        if let Some(ch) = &self.churn {
-            ch.save_state(w);
+        w.put(&self.cycle);
+        w.put(&(self.ras.is_some(), self.churn.is_some()));
+        w.put(&self.mem);
+        w.put(&self.engine);
+        if let Some(churn) = &self.churn {
+            w.put(churn);
         }
         if let Some(ras) = &self.ras {
-            ras.save_state(w);
+            w.put(ras);
         }
-        let inline_traces = self.churn.is_some();
-        w.seq(self.cores.iter(), |w, c| {
-            if inline_traces {
-                w.seq(c.trace.iter(), |w, r| {
-                    w.u32(r.gap);
-                    w.u8(match r.op {
-                        MemOp::Read => 0,
-                        MemOp::Write => 1,
-                    });
-                    w.u64(r.paddr);
-                });
+        w.put(&self.cores.len());
+        for c in &self.cores {
+            if self.churn.is_some() {
+                w.put(&c.trace);
             } else {
-                w.usize(c.trace.len());
+                w.put(&c.trace.len());
             }
-            w.usize(c.pos);
-            w.u64(c.gap_left);
-            w.bool(c.op_issued);
-            w.u64(c.fetched);
-            w.u64(c.retired);
-            w.seq(c.reads.iter(), |w, p| {
-                w.u64(p.rob_pos);
-                w.bool(p.done);
-            });
-            w.opt_u64(c.blocked_write);
-            w.u64(c.stall_until);
-            w.opt_u64(c.finish);
-        });
-        let mut tags: Vec<_> = self.tags.iter().map(|(&id, &t)| (id, t)).collect();
-        tags.sort_unstable_by_key(|&(id, _)| id);
-        w.seq(tags.iter(), |w, &(id, t)| {
-            w.u64(id);
-            w.usize(t.core);
-            w.u64(t.rob_pos);
-        });
-        w.seq(self.pending_meta.iter(), |w, &(addr, is_write)| {
-            w.u64(addr);
-            w.bool(is_write);
-        });
-        w.seq(self.leaf_maps.iter(), |w, lm| {
-            let mut entries: Vec<_> = lm.map.iter().map(|(&p, &l)| (p, l)).collect();
-            entries.sort_unstable();
-            w.seq(entries.iter(), |w, &(p, l)| {
-                w.u64(p);
-                w.u64(l);
-            });
-            w.u64(lm.next);
-        });
-        let mut locs: Vec<_> = self
-            .ras_loc
-            .iter()
-            .map(|(&b, &(part, rb))| (b, part, rb))
-            .collect();
-        locs.sort_unstable();
-        w.seq(locs.iter(), |w, &(b, part, rb)| {
-            w.u64(b);
-            w.usize(part);
-            w.u64(rb);
-        });
-        w.seq(self.parked.iter(), |w, &p| w.bool(p));
+            w.put(c);
+        }
+        w.put(&self.tags);
+        w.put(&self.pending_meta);
+        w.put(&self.leaf_maps);
+        w.put(&self.ras_loc);
+        w.put(&self.parked);
     }
 
     /// Restore from [`Self::save_state`] bytes into a system freshly
     /// built with the same configuration and workload. After this the
     /// run continues deterministically from the captured cycle.
     pub fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+        let shape_error = |what, at| Err(SnapError::Corrupt { what, at });
         r.section("SYST", 1)?;
-        self.cycle = r.u64("system cycle")?;
-        let has_ras = r.bool("ras present")?;
-        let has_churn = r.bool("churn present")?;
-        if has_ras != self.ras.is_some() || has_churn != self.churn.is_some() {
-            return Err(SnapError::Corrupt {
-                what: "system shape (snapshot from a different configuration)",
-                at: r.pos(),
-            });
+        self.cycle.load(r, "system cycle")?;
+        let at = r.pos();
+        if r.get::<(bool, bool)>("system shape")? != (self.ras.is_some(), self.churn.is_some()) {
+            return shape_error("system shape (snapshot from a different configuration)", at);
         }
-        self.mem.load_state(r)?;
-        self.engine.load_state(r)?;
-        if let Some(ch) = &mut self.churn {
-            ch.load_state(r)?;
+        self.mem.load(r, "memory system")?;
+        self.engine.load(r, "security engine")?;
+        if let Some(churn) = &mut self.churn {
+            churn.load(r, "churn driver")?;
         }
         if let Some(ras) = &mut self.ras {
-            ras.load_state(r)?;
+            ras.load(r, "ras engine")?;
         }
-        let ncores = r.seq_len("system cores")?;
-        if ncores != self.cores.len() {
-            return Err(SnapError::Corrupt {
-                what: "core count (snapshot from a different configuration)",
-                at: r.pos(),
-            });
+        let at = r.pos();
+        if r.get::<usize>("system cores")? != self.cores.len() {
+            return shape_error("core count (snapshot from a different configuration)", at);
         }
         for c in &mut self.cores {
-            if has_churn {
-                let n = r.seq_len("core trace")?;
-                let mut trace = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let gap = r.u32("record gap")?;
-                    let op = match r.u8("record op")? {
-                        0 => MemOp::Read,
-                        1 => MemOp::Write,
-                        _ => {
-                            return Err(SnapError::Corrupt {
-                                what: "record op tag",
-                                at: r.pos(),
-                            })
-                        }
-                    };
-                    let paddr = r.u64("record paddr")?;
-                    trace.push(PhysRecord { gap, op, paddr });
-                }
-                c.trace = trace;
-            } else {
-                let n = r.usize("trace length")?;
-                if n != c.trace.len() {
-                    return Err(SnapError::Corrupt {
-                        what: "trace length (snapshot from a different workload)",
-                        at: r.pos(),
-                    });
-                }
+            let at = r.pos();
+            if self.churn.is_some() {
+                c.trace.load(r, "core trace")?;
+            } else if r.get::<usize>("trace length")? != c.trace.len() {
+                return shape_error("trace length (snapshot from a different workload)", at);
             }
-            c.pos = r.usize("core pos")?;
-            c.gap_left = r.u64("core gap_left")?;
-            c.op_issued = r.bool("core op_issued")?;
-            c.fetched = r.u64("core fetched")?;
-            c.retired = r.u64("core retired")?;
-            let n = r.seq_len("pending reads")?;
-            let mut reads = VecDeque::with_capacity(n);
-            for _ in 0..n {
-                let rob_pos = r.u64("read rob_pos")?;
-                let done = r.bool("read done")?;
-                reads.push_back(PendingRead { rob_pos, done });
-            }
-            c.reads = reads;
-            c.blocked_write = r.opt_u64("blocked write")?;
-            c.stall_until = r.u64("core stall_until")?;
-            c.finish = r.opt_u64("core finish")?;
+            c.load(r, "core")?;
         }
-        let n = r.seq_len("request tags")?;
-        let mut tags = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let id = r.u64("tag id")?;
-            let core = r.usize("tag core")?;
-            let rob_pos = r.u64("tag rob_pos")?;
-            if core >= self.cores.len() {
-                return Err(SnapError::Corrupt {
-                    what: "tag core index",
-                    at: r.pos(),
-                });
-            }
-            tags.insert(id, ReqTag { core, rob_pos });
+        let at = r.pos();
+        self.tags.load(r, "request tags")?;
+        if self.tags.values().any(|t| t.core >= self.cores.len()) {
+            return shape_error("tag core index", at);
         }
-        self.tags = tags;
-        let n = r.seq_len("pending metadata")?;
-        let mut pending = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            let addr = r.u64("pending addr")?;
-            let is_write = r.bool("pending is_write")?;
-            pending.push_back((addr, is_write));
-        }
-        self.pending_meta = pending;
-        let n = r.seq_len("leaf maps")?;
-        if n != self.leaf_maps.len() {
-            return Err(SnapError::Corrupt {
-                what: "leaf-map count",
-                at: r.pos(),
-            });
-        }
-        for lm in &mut self.leaf_maps {
-            let n = r.seq_len("leaf map entries")?;
-            let mut map = HashMap::with_capacity(n);
-            for _ in 0..n {
-                let p = r.u64("leaf map page")?;
-                let l = r.u64("leaf map leaf")?;
-                map.insert(p, l);
-            }
-            let next = r.u64("leaf map next")?;
-            *lm = LeafMap { map, next };
-        }
-        let n = r.seq_len("ras locations")?;
-        let mut locs = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let b = r.u64("loc block")?;
-            let part = r.usize("loc partition")?;
-            let rb = r.u64("loc rblock")?;
-            locs.insert(b, (part, rb));
-        }
-        self.ras_loc = locs;
-        let n = r.seq_len("parked flags")?;
-        if n != self.parked.len() {
-            return Err(SnapError::Corrupt {
-                what: "parked-flag count",
-                at: r.pos(),
-            });
-        }
-        for p in &mut self.parked {
-            *p = r.bool("parked")?;
-        }
+        self.pending_meta.load(r, "pending metadata")?;
+        r.load_exact(&mut self.leaf_maps, "leaf-map count")?;
+        self.ras_loc.load(r, "ras locations")?;
+        r.load_exact(&mut self.parked, "parked-flag count")?;
         self.nparked = self.parked.iter().filter(|&&p| p).count();
         self.comp_buf.clear();
         Ok(())

@@ -10,6 +10,9 @@
 //!   approximated (f64 round-trips through its bit pattern), maps are
 //!   written in sorted key order so identical state produces identical
 //!   bytes.
+//! * [`persist`] — [`Persist`] and `#[derive(Persist)]`: each type
+//!   declares its snapshot bytes once, as its field list, and the
+//!   derive writes and reads them in that order.
 //! * [`crc`] — the CRC-32 (IEEE) integrity check framing every
 //!   snapshot file.
 //! * [`store`] — [`SnapshotStore`]: atomic temp+rename snapshot files
@@ -20,14 +23,21 @@
 //!   no counter can rewind and no freed leaf-id can come back live
 //!   without the deterministic suffix replay that re-derives them.
 //!
-//! This crate deliberately has **zero dependencies** so the DRAM model
+//! This crate depends only on its own derive macro, so the DRAM model
 //! (the workspace's bottom crate) and the oracle harness can both use
 //! it without cycles.
 
+// Lets `#[derive(Persist)]`'s `::itesp_snap::` paths resolve in this
+// crate's own tests.
+extern crate self as itesp_snap;
+
 pub mod crc;
+pub mod persist;
 pub mod store;
 pub mod wire;
 
 pub use crc::crc32;
+pub use itesp_snap_derive::Persist;
+pub use persist::Persist;
 pub use store::{SnapshotMeta, SnapshotStore, StoreError, WalRecord};
 pub use wire::{SnapError, SnapReader, SnapWriter};

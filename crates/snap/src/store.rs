@@ -267,13 +267,13 @@ impl SnapshotStore {
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e.into()),
         };
-        let len = f.metadata()?.len() as usize;
-        let whole = len / WAL_RECORD;
+        let record = WAL_RECORD as u64;
+        let whole = f.metadata()?.len() / record;
         if whole == 0 {
             return Ok(None);
         }
         let mut rec = [0u8; WAL_RECORD];
-        f.seek(SeekFrom::Start(((whole - 1) * WAL_RECORD) as u64))?;
+        f.seek(SeekFrom::Start((whole - 1) * record))?;
         f.read_exact(&mut rec)?;
         if let Some(parsed) = parse_wal_record(&rec) {
             return Ok(Some(parsed.seq));
@@ -312,16 +312,15 @@ impl SnapshotStore {
         }
         let file_seq = u64::from_le_bytes(bytes[6..14].try_into().unwrap());
         let cycle = u64::from_le_bytes(bytes[14..22].try_into().unwrap());
-        let payload_len = u64::from_le_bytes(bytes[22..30].try_into().unwrap()) as usize;
-        let expected_total = SNAP_HEADER + payload_len + 4;
-        if bytes.len() != expected_total {
+        let payload_len = u64::from_le_bytes(bytes[22..30].try_into().unwrap());
+        let total = bytes.len();
+        if usize::try_from(payload_len).ok() != Some(total - SNAP_HEADER - 4) {
             return Err(torn(format!(
-                "length mismatch: header declares {expected_total} bytes, file has {}",
-                bytes.len()
+                "length mismatch: header declares a {payload_len}-byte payload, file has {total} bytes"
             )));
         }
-        let stored_crc = u32::from_le_bytes(bytes[expected_total - 4..].try_into().unwrap());
-        let actual_crc = crc32(&bytes[..expected_total - 4]);
+        let stored_crc = u32::from_le_bytes(bytes[total - 4..].try_into().unwrap());
+        let actual_crc = crc32(&bytes[..total - 4]);
         if stored_crc != actual_crc {
             return Err(torn(format!(
                 "CRC mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
@@ -332,7 +331,7 @@ impl SnapshotStore {
                 "sequence mismatch: file claims seq {file_seq}, name says {seq}"
             )));
         }
-        let payload = bytes[SNAP_HEADER..SNAP_HEADER + payload_len].to_vec();
+        let payload = bytes[SNAP_HEADER..total - 4].to_vec();
         Ok((SnapshotMeta { seq, cycle }, payload))
     }
 

@@ -3,9 +3,10 @@
 //! Every component writes its state through [`SnapWriter`] and restores
 //! it through [`SnapReader`]. Two rules keep the format trustworthy:
 //!
-//! 1. **Deterministic bytes** — callers serialize hash maps and sets in
-//!    sorted key order, so identical state always produces identical
-//!    bytes (the SIGKILL drill compares snapshots byte-for-byte).
+//! 1. **Deterministic bytes** — hash maps and sets are written in
+//!    sorted key order ([`crate::Persist`] does this for every hash
+//!    container), so identical state always produces identical bytes
+//!    (the SIGKILL drill compares snapshots byte-for-byte).
 //! 2. **Tagged sections** — each component frames its state with a
 //!    4-byte tag and a version ([`SnapWriter::section`]), so a reader
 //!    that drifted out of sync fails with a *named* mismatch instead of
@@ -134,16 +135,6 @@ impl SnapWriter {
         self.u64(v.to_bits());
     }
 
-    pub fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            Some(x) => {
-                self.bool(true);
-                self.u64(x);
-            }
-            None => self.bool(false),
-        }
-    }
-
     /// Length-prefixed raw bytes.
     pub fn bytes(&mut self, v: &[u8]) {
         self.usize(v.len());
@@ -153,18 +144,6 @@ impl SnapWriter {
     /// Length-prefixed UTF-8 string.
     pub fn str(&mut self, v: &str) {
         self.bytes(v.as_bytes());
-    }
-
-    /// Length-prefixed sequence written through `f` per element.
-    pub fn seq<T>(
-        &mut self,
-        items: impl ExactSizeIterator<Item = T>,
-        mut f: impl FnMut(&mut Self, T),
-    ) {
-        self.usize(items.len());
-        for item in items {
-            f(self, item);
-        }
     }
 }
 
@@ -276,14 +255,6 @@ impl<'a> SnapReader<'a> {
         Ok(f64::from_bits(self.u64(what)?))
     }
 
-    pub fn opt_u64(&mut self, what: &'static str) -> Result<Option<u64>, SnapError> {
-        if self.bool(what)? {
-            Ok(Some(self.u64(what)?))
-        } else {
-            Ok(None)
-        }
-    }
-
     /// Length-prefixed raw bytes. The length is validated against the
     /// remaining buffer before any allocation.
     pub fn bytes(&mut self, what: &'static str) -> Result<&'a [u8], SnapError> {
@@ -327,10 +298,10 @@ mod tests {
         w.u64(u64::MAX);
         w.f64(-0.0);
         w.f64(1.5e-300);
-        w.opt_u64(None);
-        w.opt_u64(Some(42));
+        w.put(&None::<u64>);
+        w.put(&Some(42u64));
         w.str("hello");
-        w.seq([1u64, 2, 3].into_iter(), |w, v| w.u64(v));
+        w.put(&vec![1u64, 2, 3]);
         let bytes = w.into_bytes();
 
         let mut r = SnapReader::new(&bytes);
@@ -342,12 +313,10 @@ mod tests {
         assert_eq!(r.u64("e").unwrap(), u64::MAX);
         assert!(r.f64("f").unwrap().is_sign_negative());
         assert_eq!(r.f64("g").unwrap(), 1.5e-300);
-        assert_eq!(r.opt_u64("h").unwrap(), None);
-        assert_eq!(r.opt_u64("i").unwrap(), Some(42));
+        assert_eq!(r.get::<Option<u64>>("h").unwrap(), None);
+        assert_eq!(r.get::<Option<u64>>("i").unwrap(), Some(42));
         assert_eq!(r.str("j").unwrap(), "hello");
-        let n = r.seq_len("k").unwrap();
-        let v: Vec<u64> = (0..n).map(|_| r.u64("k").unwrap()).collect();
-        assert_eq!(v, vec![1, 2, 3]);
+        assert_eq!(r.get::<Vec<u64>>("k").unwrap(), vec![1, 2, 3]);
         r.finish().unwrap();
     }
 

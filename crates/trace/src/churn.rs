@@ -14,6 +14,7 @@
 //! Everything is deterministic given [`ChurnConfig::seed`]; benches
 //! pass a seed resolved from `ITESP_TEST_SEED` so failures replay.
 
+use itesp_snap::Persist;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -50,7 +51,7 @@ pub struct ChurnConfig {
 /// returned to the enclave's free list. Later records may touch the
 /// same virtual page again — that re-touch is a fresh first-touch
 /// (new physical frame, recycled leaf-id).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Persist)]
 pub struct PageFree {
     pub after_record: usize,
     pub vaddr: u64,

@@ -22,7 +22,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use itesp_snap::{SnapError, SnapReader, SnapWriter};
+use itesp_snap::{Persist, SnapError, SnapReader, SnapWriter};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -30,7 +30,7 @@ use serde::{Deserialize, Serialize};
 use crate::record::{page_of, page_offset, PAGE_BYTES};
 
 /// Per-program virtual-to-physical and virtual-to-leaf-id mappings.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize, Persist)]
 pub struct ProgramMap {
     /// Virtual page number -> physical page number.
     v2p: HashMap<u64, u64>,
@@ -56,7 +56,7 @@ pub struct Translation {
 }
 
 /// How the simulated OS free list hands out physical pages.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Persist)]
 pub enum FreeListModel {
     /// Pristine machine: one giant extent, pages handed out in order.
     Sequential,
@@ -246,120 +246,47 @@ impl PageMapper {
     pub fn pages_allocated(&self) -> u64 {
         self.pages_allocated
     }
+}
 
-    /// Serialize the mapper: translation tables (sorted for
-    /// deterministic bytes), the free-list model and its RNG stream
-    /// position, and the allocation cursors.
-    pub fn save_state(&self, w: &mut SnapWriter) {
+/// Hand-written: the free-list model and physical span are checked
+/// against this mapper's construction parameters and the program count
+/// against its program slots; the RNG travels as its raw stream
+/// position.
+impl Persist for PageMapper {
+    fn save(&self, w: &mut SnapWriter) {
         w.section("PMAP", 1);
-        match self.model {
-            FreeListModel::Sequential => w.u8(0),
-            FreeListModel::Fragmented {
-                mean_extent_pages,
-                seed,
-            } => {
-                w.u8(1);
-                w.f64(mean_extent_pages);
-                w.u64(seed);
-            }
-        }
-        w.u64(self.phys_page_limit);
-        for word in self.rng.state() {
-            w.u64(word);
-        }
-        w.seq(self.programs.iter(), |w, p| {
-            let mut v2p: Vec<_> = p.v2p.iter().map(|(&v, &pp)| (v, pp)).collect();
-            v2p.sort_unstable();
-            w.seq(v2p.iter(), |w, &(v, pp)| {
-                w.u64(v);
-                w.u64(pp);
-            });
-            let mut v2leaf: Vec<_> = p.v2leaf.iter().map(|(&v, &l)| (v, l)).collect();
-            v2leaf.sort_unstable();
-            w.seq(v2leaf.iter(), |w, &(v, l)| {
-                w.u64(v);
-                w.u64(l);
-            });
-            w.u64(p.next_leaf);
-        });
-        let mut used: Vec<u64> = self.used.iter().copied().collect();
-        used.sort_unstable();
-        w.seq(used.iter(), |w, &p| w.u64(p));
-        w.u64(self.next_seq);
-        w.u64(self.extent_next);
-        w.u64(self.extent_left);
-        w.u64(self.pages_allocated);
+        w.put(&self.model);
+        w.put(&self.phys_page_limit);
+        w.put(&self.rng.state());
+        w.put(&self.programs);
+        w.put(&self.used);
+        w.put(&self.next_seq);
+        w.put(&self.extent_next);
+        w.put(&self.extent_left);
+        w.put(&self.pages_allocated);
     }
 
-    /// Restore from [`Self::save_state`] bytes into a mapper built
-    /// with the same construction parameters.
-    pub fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+    fn load(&mut self, r: &mut SnapReader, _what: &'static str) -> Result<(), SnapError> {
         r.section("PMAP", 1)?;
-        let model = match r.u8("free-list model tag")? {
-            0 => FreeListModel::Sequential,
-            1 => FreeListModel::Fragmented {
-                mean_extent_pages: r.f64("mean extent pages")?,
-                seed: r.u64("free-list seed")?,
-            },
-            _ => {
-                return Err(SnapError::Corrupt {
-                    what: "free-list model tag",
-                    at: r.pos(),
-                })
-            }
-        };
-        let phys_page_limit = r.u64("phys page limit")?;
+        let mut model = self.model;
+        model.load(r, "free-list model")?;
+        let phys_page_limit: u64 = r.get("phys page limit")?;
         if model != self.model || phys_page_limit != self.phys_page_limit {
             return Err(SnapError::Corrupt {
                 what: "mapper config (snapshot from a different configuration)",
                 at: r.pos(),
             });
         }
-        let mut rng_state = [0u64; 4];
-        for word in &mut rng_state {
-            *word = r.u64("mapper rng state")?;
-        }
-        self.rng = StdRng::from_state(rng_state);
-        let nprogs = r.seq_len("mapper programs")?;
-        if nprogs != self.programs.len() {
-            return Err(SnapError::Corrupt {
-                what: "mapper program count (snapshot from a different configuration)",
-                at: r.pos(),
-            });
-        }
-        for p in &mut self.programs {
-            let n = r.seq_len("v2p map")?;
-            let mut v2p = HashMap::with_capacity(n);
-            for _ in 0..n {
-                let v = r.u64("vpage")?;
-                let pp = r.u64("ppage")?;
-                v2p.insert(v, pp);
-            }
-            let n = r.seq_len("v2leaf map")?;
-            let mut v2leaf = HashMap::with_capacity(n);
-            for _ in 0..n {
-                let v = r.u64("vpage")?;
-                let l = r.u64("leaf")?;
-                v2leaf.insert(v, l);
-            }
-            let next_leaf = r.u64("next leaf")?;
-            *p = ProgramMap {
-                v2p,
-                v2leaf,
-                next_leaf,
-            };
-        }
-        let nused = r.seq_len("used page set")?;
-        let mut used = HashSet::with_capacity(nused);
-        for _ in 0..nused {
-            used.insert(r.u64("used page")?);
-        }
-        self.used = used;
-        self.next_seq = r.u64("sequential cursor")?;
-        self.extent_next = r.u64("extent next")?;
-        self.extent_left = r.u64("extent left")?;
-        self.pages_allocated = r.u64("pages allocated")?;
-        Ok(())
+        self.rng = StdRng::from_state(r.get("mapper rng state")?);
+        r.load_exact(
+            &mut self.programs,
+            "mapper program count (snapshot from a different configuration)",
+        )?;
+        self.used.load(r, "used page set")?;
+        self.next_seq.load(r, "sequential cursor")?;
+        self.extent_next.load(r, "extent next")?;
+        self.extent_left.load(r, "extent left")?;
+        self.pages_allocated.load(r, "pages allocated")
     }
 }
 

@@ -5,12 +5,14 @@
 //! preceded by `gap` CPU cycles of non-memory work. The ROB model in
 //! `itesp-sim` replays these records.
 
+use itesp_snap::Persist;
 use serde::{Deserialize, Serialize};
 
 /// Whether an access reads or writes memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize, Persist)]
 pub enum MemOp {
     /// A demand read (LLC load miss); blocks retirement at ROB head.
+    #[default]
     Read,
     /// A writeback (dirty LLC eviction); retires into the write queue.
     Write,
@@ -27,7 +29,7 @@ pub struct TraceRecord {
 }
 
 /// One record of a physical-address trace, after page mapping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize, Persist)]
 pub struct PhysRecord {
     /// CPU cycles of non-memory instructions preceding this access.
     pub gap: u32,
