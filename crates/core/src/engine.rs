@@ -685,15 +685,17 @@ impl SecurityEngine {
     /// (migration: its counters are re-hashed into the new layout),
     /// and every node of the new layout is written — level offsets
     /// shift, so even surviving counters land at new addresses.
-    /// Returns the combined traffic; empty when the installed tree
-    /// already covers `data_blocks`.
+    /// Returns the combined traffic (empty when the installed tree
+    /// already covers `data_blocks`) and how many of its leading writes
+    /// are that cache flush. The flush depends on what the partition
+    /// happened to cache; the rest depends only on the two geometries.
     ///
     /// Installs the tree outright if none is present yet.
-    pub fn grow_tree(&mut self, part: usize, data_blocks: u64) -> Vec<MetaAccess> {
+    pub fn grow_tree(&mut self, part: usize, data_blocks: u64) -> (Vec<MetaAccess>, usize) {
         let mut mem = Vec::new();
-        self.model.grow_tree(part, data_blocks, &mut mem);
+        let flushed = self.model.grow_tree(part, data_blocks, &mut mem);
         self.account(&mem);
-        mem
+        (mem, flushed)
     }
 
     /// Secure teardown of partition `part`: zeroize every stored node
@@ -1154,23 +1156,27 @@ mod tests {
         let old_nodes = e.active_geometry(0).unwrap().total_nodes();
         // Dirty the installed tree so growth must persist state first.
         e.on_access(0, 0, 0, true);
-        let mem = e.grow_tree(0, 4096);
+        let (mem, flushed) = e.grow_tree(0, 4096);
         let new_nodes = e.active_geometry(0).unwrap().total_nodes();
         assert!(new_nodes > old_nodes);
         let reads = mem.iter().filter(|m| !m.is_write).count() as u64;
         let writes = mem.iter().filter(|m| m.is_write).count() as u64;
         assert_eq!(reads, old_nodes, "every old node is migrated");
-        assert!(writes >= new_nodes, "every new node is laid out");
+        assert_eq!(writes, flushed as u64 + new_nodes, "flush, then layout");
+        assert!(flushed > 0, "the dirty line is flushed first");
+        assert!(mem[..flushed].iter().all(|m| m.is_write));
+        assert!(!mem[flushed].is_write, "migration reads follow the flush");
         // Growing to a covered span is free; shrinking never happens.
-        assert!(e.grow_tree(0, 4096).is_empty());
-        assert!(e.grow_tree(0, 64).is_empty());
+        assert_eq!(e.grow_tree(0, 4096), (vec![], 0));
+        assert_eq!(e.grow_tree(0, 64), (vec![], 0));
     }
 
     #[test]
     fn grow_tree_without_install_installs() {
         let mut e = engine(Scheme::ItSynergy);
-        let mem = e.grow_tree(2, 512);
+        let (mem, flushed) = e.grow_tree(2, 512);
         assert!(!mem.is_empty());
+        assert_eq!(flushed, 0);
         assert_eq!(e.active_geometry(2).unwrap().data_blocks(), 512);
     }
 

@@ -121,8 +121,11 @@ pub trait SchemeModel: std::fmt::Debug + Send + Persist {
     /// Enclave lifecycle: install a footprint-sized private tree.
     fn install_tree(&mut self, _part: usize, _data_blocks: u64, _mem: &mut Vec<MetaAccess>) {}
 
-    /// Enclave lifecycle: grow the installed tree.
-    fn grow_tree(&mut self, _part: usize, _data_blocks: u64, _mem: &mut Vec<MetaAccess>) {}
+    /// Enclave lifecycle: grow the installed tree. Returns how many of
+    /// the leading transactions pushed are the cache flush.
+    fn grow_tree(&mut self, _part: usize, _data_blocks: u64, _mem: &mut Vec<MetaAccess>) -> usize {
+        0
+    }
 
     /// Enclave lifecycle: secure teardown of a partition.
     fn reset_partition(&mut self, _part: usize, _mem: &mut Vec<MetaAccess>) {}

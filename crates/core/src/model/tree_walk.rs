@@ -661,18 +661,18 @@ impl SchemeModel for TreeWalkModel {
         self.part_geos[part] = Some(geo);
     }
 
-    fn grow_tree(&mut self, part: usize, data_blocks: u64, mem: &mut Vec<MetaAccess>) {
+    fn grow_tree(&mut self, part: usize, data_blocks: u64, mem: &mut Vec<MetaAccess>) -> usize {
         if !self.spec.isolated || self.geo.is_none() {
-            return;
+            return 0;
         }
         let Some(old) = self.part_geos[part].as_ref() else {
             self.install_tree(part, data_blocks, mem);
-            return;
+            return 0;
         };
         let cap = self.cfg.enclave_capacity / 64;
         let blocks = data_blocks.clamp(1, cap);
         if blocks <= old.data_blocks() {
-            return;
+            return 0;
         }
         let old_nodes = old.total_nodes();
         let new = self
@@ -683,6 +683,7 @@ impl SchemeModel for TreeWalkModel {
         let base = self.regions.tree_bases[part];
         let parity_base = self.regions.parity_bases[part];
         self.tree_memo[part] = None;
+        let before = mem.len();
         if let Some(c) = self.tree_cache.as_mut() {
             for addr in c.partition_mut(part).flush() {
                 // The unified cache can hold fallback-parity lines;
@@ -699,6 +700,7 @@ impl SchemeModel for TreeWalkModel {
                 });
             }
         }
+        let flushed = mem.len() - before;
         for i in 0..old_nodes {
             mem.push(MetaAccess {
                 addr: base + i * 64,
@@ -714,6 +716,7 @@ impl SchemeModel for TreeWalkModel {
             });
         }
         self.part_geos[part] = Some(new);
+        flushed
     }
 
     fn reset_partition(&mut self, part: usize, mem: &mut Vec<MetaAccess>) {

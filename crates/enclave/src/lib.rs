@@ -30,4 +30,7 @@ pub mod alloc;
 pub mod manager;
 
 pub use alloc::{LeafAllocator, LeafGrant};
-pub use manager::{Enclave, EnclaveId, EnclaveManager, LifecycleStats, PageInfo, PAGE_BLOCKS};
+pub use manager::{
+    Enclave, EnclaveId, EnclaveManager, EnclaveStats, LifecycleStats, PageInfo, PAGE_BLOCKS,
+    PAGE_BYTES,
+};

@@ -19,11 +19,14 @@
 //! installed at the source — the one live copy). *Capture*: the blob
 //! (header, enclave state, ledger) is serialized at the directory's
 //! current epoch. *Transfer*: one frame per tick. *Commit*: the
-//! destination verifies config fingerprint and epoch, installs the
-//! enclave (re-deriving the key, remapping frames), the source
-//! destroys its copy (zeroizing tree and MACs, reclaiming leaves),
-//! and the directory bumps the epoch — permanently staling every
-//! earlier capture of this tenant.
+//! destination verifies config fingerprint and epoch, decodes and
+//! checks the whole blob, installs the enclave (re-deriving the key,
+//! remapping frames), the source destroys its copy (zeroizing tree
+//! and MACs, reclaiming leaves), and the directory bumps the epoch —
+//! permanently staling every earlier capture of this tenant.
+//!
+//! The [`Directory`] is the one record of where a tenant is; a tenant
+//! it has no entry for is still queued for admission.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -108,24 +111,11 @@ pub struct Transfer {
     pub blob: Vec<u8>,
 }
 
-#[derive(Debug, Clone, PartialEq, Persist)]
-enum Phase {
-    /// Not yet admitted.
-    Queued,
-    Live {
-        node: usize,
-    },
-    Migrating {
-        from: usize,
-        to: usize,
-    },
-    Done(TenantFinal),
-}
-
 #[derive(Debug, Persist)]
 struct TenantRuntime {
-    phase: Phase,
     ledger: TenantLedger,
+    /// Set when the script completes.
+    fin: Option<TenantFinal>,
 }
 
 /// The multi-node simulated cluster.
@@ -159,8 +149,8 @@ impl Cluster {
         let nodes = (0..cfg.nodes).map(|i| Node::new(i, &cfg)).collect();
         let tenants = (0..workload.tenant_count())
             .map(|t| TenantRuntime {
-                phase: Phase::Queued,
                 ledger: TenantLedger::new(cfg.seed, t as u64),
+                fin: None,
             })
             .collect();
         Cluster {
@@ -254,10 +244,12 @@ impl Cluster {
     pub fn done(&self) -> bool {
         self.next_admit == self.tenants.len()
             && self.inflight.is_empty()
-            && self
-                .tenants
-                .iter()
-                .all(|t| matches!(t.phase, Phase::Done(_)))
+            && self.tenants.iter().all(|t| t.fin.is_some())
+    }
+
+    /// Where the directory places `tenant`; `None` while it is queued.
+    fn residence(&self, tenant: u64) -> Option<Residence> {
+        self.dir.entry(tenant).map(|e| e.residence)
     }
 
     /// Per-tenant live-page load, one entry per node (retired nodes
@@ -274,10 +266,7 @@ impl Cluster {
             .tenants
             .iter()
             .enumerate()
-            .filter_map(|(t, rt)| match &rt.phase {
-                Phase::Done(f) => Some((t as u64, f)),
-                _ => None,
-            })
+            .filter_map(|(t, rt)| Some((t as u64, rt.fin.as_ref()?)))
             .collect();
         let mut s = serde_json::to_string_pretty(&map).expect("serialize tenant finals");
         s.push('\n');
@@ -291,10 +280,10 @@ impl Cluster {
     /// Typed refusal when the tenant is not live, the destination
     /// cannot take it, or source equals destination.
     pub fn start_migration(&mut self, tenant: u64, to: usize) -> Result<(), MigrateError> {
-        let Some(rt) = self.tenants.get(tenant as usize) else {
+        if tenant as usize >= self.tenants.len() {
             return Err(MigrateError::UnknownTenant { tenant });
-        };
-        let Phase::Live { node: from } = rt.phase else {
+        }
+        let Some(Residence::Live { node: from }) = self.residence(tenant) else {
             return Err(MigrateError::NotInMigration { tenant, node: to });
         };
         if from == to {
@@ -320,7 +309,6 @@ impl Cluster {
             &self.tenants[tenant as usize].ledger,
         );
         self.dir.begin_migration(tenant, from, to);
-        self.tenants[tenant as usize].phase = Phase::Migrating { from, to };
         self.inflight.push(Transfer {
             tenant,
             from,
@@ -338,12 +326,15 @@ impl Cluster {
     /// The destination-side acceptance routine — *and* the replay
     /// surface the anti-rollback oracle attacks. Verifies the config
     /// fingerprint and the migration epoch before any state is
-    /// decoded; on success installs the enclave at `node`, reclaims
-    /// the source copy, and bumps the epoch.
+    /// decoded, then decodes and checks the whole blob; only then
+    /// installs the enclave at `node`, reclaims the source copy, and
+    /// bumps the epoch.
     ///
     /// # Errors
-    /// [`MigrateError::EpochStale`] for replayed/stale blobs (no state
-    /// is touched), plus the other typed refusals.
+    /// [`MigrateError::EpochStale`] for replayed/stale blobs,
+    /// [`MigrateError::Decode`] for truncated or padded ones,
+    /// [`MigrateError::TenantMismatch`] for spliced ones, plus the
+    /// other typed refusals. A refused blob touches no state.
     pub fn deliver_blob(&mut self, node: usize, blob: &[u8]) -> Result<(), MigrateError> {
         let header = proto::peek_header(blob)?;
         if self.nodes[node].retired() {
@@ -360,27 +351,18 @@ impl Cluster {
         let Some(slot) = self.nodes[node].free_slot() else {
             return Err(MigrateError::NoFreeSlot { node });
         };
+        let (enc, ledger) = proto::decode_blob(blob)?;
+        // Every check passed: install, then reclaim the source copy
+        // (zeroize its tree, free its leaves).
         let tenant = header.tenant;
-        // Checks passed: decode and install.
-        let mut r = SnapReader::new(blob);
-        r.get::<proto::BlobHeader>("blob header")?;
-        let (id, ledger) = self.nodes[node].import(slot, &mut r)?;
-        r.finish()?;
-        assert_eq!(id.0, tenant, "blob body names a different tenant");
-        // Reclaim the source copy: zeroize its tree, free its leaves.
-        let Residence::Migrating { from, .. } = self
-            .dir
-            .entry(tenant)
-            .expect("verified tenant exists")
-            .residence
-        else {
+        let Some(Residence::Migrating { from, .. }) = self.residence(tenant) else {
             unreachable!("verify_blob admitted a non-migrating tenant");
         };
+        self.nodes[node].import(slot, enc);
         let src_slot = self.nodes[from].slot_of(tenant).expect("source copy");
         self.nodes[from].destroy(src_slot);
         self.nodes[from].stats_mut().migrations_out += 1;
         self.dir.commit_migration(tenant, node);
-        self.tenants[tenant as usize].phase = Phase::Live { node };
         self.tenants[tenant as usize].ledger = ledger;
         self.stats.migrations_committed += 1;
         Ok(())
@@ -406,10 +388,7 @@ impl Cluster {
                 self.tick < limit,
                 "cluster wedged at tick {} ({} tenants pending, {} in flight)",
                 self.tick,
-                self.tenants
-                    .iter()
-                    .filter(|t| !matches!(t.phase, Phase::Done(_)))
-                    .count(),
+                self.tenants.iter().filter(|t| t.fin.is_none()).count(),
                 self.inflight.len()
             );
         }
@@ -493,7 +472,7 @@ impl Cluster {
         let candidate = self.nodes[heaviest]
             .residents()
             .into_iter()
-            .filter(|&t| matches!(self.tenants[t as usize].phase, Phase::Live { .. }))
+            .filter(|&t| matches!(self.residence(t), Some(Residence::Live { .. })))
             .max_by_key(|&t| {
                 let pages = self.nodes[heaviest]
                     .slot_of(t)
@@ -514,7 +493,7 @@ impl Cluster {
                 continue;
             }
             for tenant in self.nodes[node].residents() {
-                if !matches!(self.tenants[tenant as usize].phase, Phase::Live { .. }) {
+                if !matches!(self.residence(tenant), Some(Residence::Live { .. })) {
                     continue; // already on the move
                 }
                 // Most free slots wins; ties to the lowest id.
@@ -609,24 +588,21 @@ impl Cluster {
             let footprint = self.workload.tenants[self.next_admit].footprint_pages;
             self.nodes[node].admit(slot, tenant, footprint);
             self.dir.admit(tenant, node);
-            self.tenants[self.next_admit].phase = Phase::Live { node };
             self.next_admit += 1;
         }
     }
 
     fn execute_ops(&mut self) {
         for tenant in 0..self.tenants.len() {
-            let Phase::Live { node } = self.tenants[tenant].phase else {
-                continue;
-            };
-            self.execute_one(tenant, node);
+            if let Some(Residence::Live { node }) = self.residence(tenant as u64) {
+                self.execute_one(tenant, node);
+            }
         }
     }
 
     /// Run one script op for a live tenant — or finalize it when the
-    /// script is exhausted. All ledger accounting here must stay
-    /// placement-independent (leaf/vpage arithmetic and traffic
-    /// *lengths*, never physical addresses).
+    /// script is exhausted. The enclave manager does the lifecycle
+    /// accounting; the ledger counts ops.
     fn execute_one(&mut self, tenant: usize, node: usize) {
         let slot = self.nodes[node]
             .slot_of(tenant as u64)
@@ -638,51 +614,13 @@ impl Cluster {
             return;
         }
         let rec = script.records[pos];
-        let vpage = page_of(rec.vaddr);
-        let n = &mut self.nodes[node];
-        let already = n
-            .mgr()
-            .enclave(slot)
-            .expect("live slot")
-            .page(vpage)
-            .is_some();
-        let ppage = if already { 0 } else { n.alloc_frame() };
-        let (leaf, traffic) = n.touch_page(slot, vpage, ppage);
-        let ledger = &mut self.tenants[tenant].ledger;
-        if !already {
-            ledger.pages_touched += 1;
-            if ledger.freed_leaves.remove(&leaf) {
-                ledger.leaves_recycled += 1;
-            }
-        }
-        if !traffic.is_empty() {
-            ledger.grow_events += 1;
-            // A grow's traffic opens with a flush of the partition's
-            // dirty cache lines — cache state does not survive a
-            // migration (the destination starts cold), so that prefix
-            // is placement-dependent. Count only the geometry-
-            // determined tail: the old-layout re-reads (the first
-            // read onward) and the new-layout writes.
-            let tail = traffic
-                .iter()
-                .position(|m| !m.is_write)
-                .map_or(traffic.len(), |i| traffic.len() - i);
-            ledger.grow_meta += tail as u64;
-        }
-        // The access itself, through the node's engine.
-        let frame = n
-            .mgr()
-            .enclave(slot)
-            .and_then(|e| e.page(vpage))
-            .expect("just touched")
-            .ppage;
-        let offset = rec.vaddr % PAGE_BYTES;
-        let block = leaf * PAGE_BLOCKS + offset / 64;
         let is_write = rec.op == MemOp::Write;
-        n.engine_mut()
-            .on_access(slot, frame * PAGE_BYTES + offset, block, is_write);
+        let n = &mut self.nodes[node];
+        let (paddr, block, _) = n.access(slot, rec.vaddr, is_write);
+        // The access itself, through the node's engine.
+        n.engine_mut().on_access(slot, paddr, block, is_write);
+        let ledger = &mut self.tenants[tenant].ledger;
         if is_write {
-            n.mgr_mut().record_write(slot, vpage);
             ledger.writes += 1;
         } else {
             ledger.reads += 1;
@@ -733,18 +671,10 @@ impl Cluster {
         let script = &self.workload.tenants[tenant];
         let mut done = self.tenants[tenant].ledger.frees_done as usize;
         while done < script.frees.len() && script.frees[done].after_record <= pos {
-            let vpage = page_of(script.frees[done].vaddr);
+            // An already-freed page is a no-op (the generator guards
+            // against it).
+            self.nodes[node].free_page(slot, page_of(script.frees[done].vaddr));
             done += 1;
-            let n = &mut self.nodes[node];
-            let Some(leaf) = n.mgr().enclave(slot).and_then(|e| e.leaf_of(vpage)) else {
-                continue; // already freed (generator guards this)
-            };
-            if let Some((_frame, traffic)) = n.free_page(slot, vpage) {
-                let ledger = &mut self.tenants[tenant].ledger;
-                ledger.pages_freed += 1;
-                ledger.free_meta += traffic.len() as u64;
-                ledger.freed_leaves.insert(leaf);
-            }
         }
         self.tenants[tenant].ledger.frees_done = done as u64;
     }
@@ -767,16 +697,17 @@ impl Cluster {
             }),
         );
         let l = &self.tenants[tenant].ledger;
+        let s = enc.stats();
         let fin = TenantFinal {
             ops: l.ops,
             reads: l.reads,
             writes: l.writes,
-            pages_touched: l.pages_touched,
-            pages_freed: l.pages_freed,
-            grow_events: l.grow_events,
-            grow_meta: l.grow_meta,
-            free_meta: l.free_meta,
-            leaves_recycled: l.leaves_recycled,
+            pages_touched: s.pages_touched,
+            pages_freed: s.pages_freed,
+            grow_events: s.grow_events,
+            grow_meta: s.grow_meta,
+            free_meta: s.free_meta,
+            leaves_recycled: s.leaves_recycled,
             faults_injected: l.faults_injected,
             fault_parity_hits: l.fault_parity_hits,
             tree_pages: enc.tree_pages(),
@@ -786,35 +717,34 @@ impl Cluster {
         };
         self.nodes[node].destroy(slot);
         self.dir.finish(tenant as u64);
-        self.tenants[tenant].phase = Phase::Done(fin);
+        self.tenants[tenant].fin = Some(fin);
     }
 
     /// Verify the headline safety property: every tenant's enclave is
-    /// installed on *exactly* the set of nodes its phase implies — one
-    /// node when live or mid-migration (the frozen source), zero
-    /// otherwise.
+    /// installed on *exactly* the set of nodes its directory residence
+    /// implies — one node when live or mid-migration (the frozen
+    /// source), zero when queued or done.
     ///
     /// # Errors
     /// A description of the first violation.
     pub fn check_exactly_one_home(&self) -> Result<(), String> {
-        for (t, rt) in self.tenants.iter().enumerate() {
-            let tenant = t as u64;
+        for tenant in 0..self.tenants.len() as u64 {
+            let residence = self.residence(tenant);
             let homes: Vec<usize> = self
                 .nodes
                 .iter()
                 .filter(|n| n.slot_of(tenant).is_some())
                 .map(Node::id)
                 .collect();
-            let expect: Vec<usize> = match rt.phase {
-                Phase::Queued | Phase::Done(_) => vec![],
-                Phase::Live { node } => vec![node],
-                Phase::Migrating { from, .. } => vec![from],
+            let expect: Vec<usize> = match residence {
+                None | Some(Residence::Done) => vec![],
+                Some(Residence::Live { node }) => vec![node],
+                Some(Residence::Migrating { from, .. }) => vec![from],
             };
             if homes != expect {
                 return Err(format!(
-                    "tenant {tenant} in phase {:?} is installed on nodes {homes:?}, \
-                     expected {expect:?}",
-                    rt.phase
+                    "tenant {tenant} with residence {residence:?} is installed on \
+                     nodes {homes:?}, expected {expect:?}"
                 ));
             }
         }
@@ -840,7 +770,7 @@ impl Cluster {
     /// [`Self::load_state`]: node and tenant counts are checked against
     /// the constructed topology and workload.
     pub fn save_state(&self, w: &mut SnapWriter) {
-        w.section("CLUS", 1);
+        w.section("CLUS", 2);
         w.put(&self.tick);
         w.put(&self.next_admit);
         w.put(&self.planned_done);
@@ -858,7 +788,7 @@ impl Cluster {
     /// # Errors
     /// [`SnapError`] on decode failure or config mismatch.
     pub fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        r.section("CLUS", 1)?;
+        r.section("CLUS", 2)?;
         self.tick.load(r, "cluster tick")?;
         self.next_admit.load(r, "cluster next admit")?;
         self.planned_done.load(r, "cluster planned done")?;

@@ -40,6 +40,9 @@ pub enum MigrateError {
     BadFrame(&'static str),
     /// The blob payload did not decode.
     Decode(SnapError),
+    /// The blob's body holds a different tenant than its header names
+    /// (a body spliced behind another tenant's header).
+    TenantMismatch { header: u64, body: u64 },
     /// The cluster's durable snapshot store failed (I/O or rollback).
     Store(StoreError),
 }
@@ -83,6 +86,10 @@ impl fmt::Display for MigrateError {
             }
             MigrateError::BadFrame(what) => write!(f, "bad transfer frame: {what}"),
             MigrateError::Decode(e) => write!(f, "blob decode: {e}"),
+            MigrateError::TenantMismatch { header, body } => write!(
+                f,
+                "blob header names tenant {header} but its body holds tenant {body}"
+            ),
             MigrateError::Store(e) => write!(f, "snapshot store: {e}"),
         }
     }

@@ -2,14 +2,14 @@
 //!
 //! A [`TenantLedger`] travels with the tenant: it rides in the
 //! migration blob and in cluster crash snapshots, so the tenant's
-//! op-stream position, fault-injection RNG, and lifecycle counts
-//! survive both a node hop and a SIGKILL. Everything in it is
-//! *placement-independent*: nothing depends on which node (or which
-//! physical frames) hosted the tenant, which is what makes the
-//! cluster's per-tenant output byte-identical to a single-node
-//! reference run.
-
-use std::collections::BTreeSet;
+//! op-stream position and fault-injection RNG survive both a node hop
+//! and a SIGKILL. It holds only what the cluster itself owns; the
+//! lifecycle counts belong to the enclave
+//! ([`itesp_enclave::EnclaveStats`]) and travel in its own section of
+//! the blob. Everything in it is *placement-independent*: nothing
+//! depends on which node (or which physical frames) hosted the tenant,
+//! which is what makes the cluster's per-tenant output byte-identical
+//! to a single-node reference run.
 
 use itesp_core::mac::siphash24_words;
 use itesp_core::MacKey;
@@ -48,26 +48,15 @@ pub fn counter_checksum(key: &MacKey, triples: impl Iterator<Item = (u64, u64, u
     siphash24_words(key, &words)
 }
 
-/// A tenant's functional history, accumulated one op per cluster tick.
+/// A tenant's op counts, fault stream and script cursor, accumulated
+/// one op per cluster tick.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Persist)]
-#[persist(section = "TLGR", version = 1)]
+#[persist(section = "TLGR", version = 2)]
 pub struct TenantLedger {
     /// Ops executed (reads + writes).
     pub ops: u64,
     pub reads: u64,
     pub writes: u64,
-    /// First-touches (page faults that granted a leaf).
-    pub pages_touched: u64,
-    /// Pages returned early by the script's free events.
-    pub pages_freed: u64,
-    /// Tree doublings this tenant forced.
-    pub grow_events: u64,
-    /// Metadata transactions those doublings charged.
-    pub grow_meta: u64,
-    /// Metadata transactions the leaf resets (frees) charged.
-    pub free_meta: u64,
-    /// First-touches that reused a leaf this tenant freed earlier.
-    pub leaves_recycled: u64,
     /// Chip faults the per-tenant RAS stream injected.
     pub faults_injected: u64,
     /// Injected faults whose block had a live parity group.
@@ -79,9 +68,6 @@ pub struct TenantLedger {
     pub next_record: u64,
     /// Free events already executed.
     pub frees_done: u64,
-    /// Leaves this tenant freed and has not yet re-acquired (detects
-    /// recycling without asking the allocator).
-    pub freed_leaves: BTreeSet<u64>,
 }
 
 impl TenantLedger {
@@ -94,7 +80,7 @@ impl TenantLedger {
 }
 
 /// What a tenant leaves behind when its script completes: the ledger
-/// scalars plus exit-time tree state. This is the unit of the drill's
+/// scalars, the enclave's lifecycle counts, and exit-time tree state. This is the unit of the drill's
 /// byte-identity artifact — every field must be placement- and
 /// timing-independent (no engine cache stats, no migration counts, no
 /// physical addresses).
@@ -133,9 +119,8 @@ mod tests {
         l.ops = 100;
         l.writes = 40;
         l.reads = 60;
-        l.pages_touched = 12;
+        l.faults_injected = 3;
         l.next_record = 100;
-        l.freed_leaves.extend([3, 9, 11]);
         let mut w = itesp_snap::SnapWriter::new();
         w.put(&l);
         let bytes = w.into_bytes();

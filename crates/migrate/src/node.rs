@@ -2,11 +2,10 @@
 //! namespace.
 
 use itesp_core::{EngineConfig, MetaAccess, SecurityEngine};
-use itesp_enclave::{EnclaveId, EnclaveManager};
+use itesp_enclave::{Enclave, EnclaveId, EnclaveManager};
 use itesp_snap::{Persist, SnapError, SnapReader, SnapWriter};
 
 use crate::cluster::ClusterConfig;
-use crate::ledger::TenantLedger;
 
 /// Operational per-node counters. Reported for observability, and
 /// deliberately *excluded* from the deterministic per-tenant artifact
@@ -146,13 +145,6 @@ impl Node {
         self.mgr.total_live_pages()
     }
 
-    /// Grant the next never-used physical frame.
-    pub fn alloc_frame(&mut self) -> u64 {
-        let f = self.next_frame;
-        self.next_frame += 1;
-        f
-    }
-
     pub fn fingerprint(&self) -> u64 {
         self.engine.config().fingerprint()
     }
@@ -168,39 +160,42 @@ impl Node {
 
     /// Lifecycle passthroughs that pair the manager with this node's
     /// engine (the split borrow callers can't spell from outside).
-    pub fn touch_page(&mut self, slot: usize, vpage: u64, ppage: u64) -> (u64, Vec<MetaAccess>) {
-        self.mgr.touch_page(&mut self.engine, slot, vpage, ppage)
+    /// First touches draw the next never-used frame of this node.
+    pub fn access(
+        &mut self,
+        slot: usize,
+        vaddr: u64,
+        is_write: bool,
+    ) -> (u64, u64, Vec<MetaAccess>) {
+        let next = &mut self.next_frame;
+        self.mgr
+            .access(&mut self.engine, slot, vaddr, is_write, || bump(next))
     }
 
     pub fn free_page(&mut self, slot: usize, vpage: u64) -> Option<(u64, Vec<MetaAccess>)> {
         self.mgr.free_page(&mut self.engine, slot, vpage)
     }
 
+    /// Tear the slot's enclave down. Frames are never reused, so the
+    /// freed ones are dropped.
     pub fn destroy(&mut self, slot: usize) -> Vec<MetaAccess> {
-        self.mgr.destroy(&mut self.engine, slot)
+        self.mgr.destroy(&mut self.engine, slot).1
     }
 
-    /// Install a migrated enclave from `r`, remapping its page frames
-    /// into this node's namespace, then read the ledger that travels
-    /// behind it.
-    ///
-    /// # Errors
-    /// [`SnapError`] if the blob body doesn't decode.
-    pub fn import(
-        &mut self,
-        slot: usize,
-        r: &mut SnapReader,
-    ) -> Result<(EnclaveId, TenantLedger), SnapError> {
+    /// Install a migrated enclave, remapping its page frames into this
+    /// node's namespace.
+    pub fn import(&mut self, slot: usize, enc: Enclave) {
         let next = &mut self.next_frame;
-        let (id, _traffic) = self.mgr.import_enclave(&mut self.engine, slot, r, |_src| {
-            let f = *next;
-            *next += 1;
-            f
-        })?;
-        let ledger: TenantLedger = r.get("tenant ledger")?;
+        self.mgr
+            .import_enclave(&mut self.engine, slot, enc, |_src| bump(next));
         self.stats.migrations_in += 1;
-        Ok((id, ledger))
     }
+}
+
+/// Grant the next never-used frame of a bump allocator.
+fn bump(next: &mut u64) -> u64 {
+    *next += 1;
+    *next - 1
 }
 
 /// Hand-written: the stored node id must match this node's, and the
@@ -268,7 +263,10 @@ mod tests {
         assert_eq!(n.slot_of(5), Some(0));
         assert_eq!(n.residents(), vec![5]);
         assert_eq!(n.free_slot(), Some(1));
-        assert_eq!((n.alloc_frame(), n.alloc_frame()), (0, 1));
+        let (paddr, _, _) = n.access(0, 3 * 4096 + 64, true);
+        assert_eq!(paddr, 64, "first frame of the node");
+        let (paddr, _, _) = n.access(0, 9 * 4096, false);
+        assert_eq!(paddr, 4096, "frames are handed out in order");
         n.set_draining();
         assert!(!n.accepting());
     }

@@ -4,8 +4,8 @@
 //!
 //! ```text
 //! section "MIGB" v1: tenant id, migration epoch, config fingerprint
-//! section "ENCL" v1: the enclave (EnclaveManager::export_enclave)
-//! section "TLGR" v1: the tenant's functional ledger
+//! section "ENCL" v2: the enclave, with its lifecycle counts (no key)
+//! section "TLGR" v2: the tenant's functional ledger
 //! ```
 //!
 //! The header rides first so a destination can verify fingerprint and
@@ -15,7 +15,7 @@
 //! count, payload length) per chunk — so a transfer spans many cluster
 //! ticks and a crash can land mid-flight.
 
-use itesp_enclave::EnclaveManager;
+use itesp_enclave::{Enclave, EnclaveManager};
 use itesp_snap::{Persist, SnapError, SnapReader, SnapWriter};
 
 use crate::error::MigrateError;
@@ -46,22 +46,44 @@ pub fn peek_header(blob: &[u8]) -> Result<BlobHeader, SnapError> {
 }
 
 /// Serialize a frozen tenant into a migration blob. The enclave
-/// section carries no key material (see
-/// [`EnclaveManager::export_enclave`]).
+/// section carries no key material: the key is re-derived from the
+/// destination's master.
 pub(crate) fn encode_blob(
     header: &BlobHeader,
     mgr: &EnclaveManager,
     slot: usize,
     ledger: &TenantLedger,
 ) -> Vec<u8> {
+    let enc = mgr.enclave(slot).expect("exporting an empty slot");
+    assert_eq!(enc.id().0, header.tenant, "slot/tenant mismatch in export");
     let mut w = SnapWriter::new();
     w.put(header);
-    let id = mgr
-        .export_enclave(slot, &mut w)
-        .expect("exporting an empty slot");
-    assert_eq!(id.0, header.tenant, "slot/tenant mismatch in export");
+    w.put(enc);
     w.put(ledger);
     w.into_bytes()
+}
+
+/// Decode a whole blob — header, enclave, ledger, and nothing after
+/// them — and check that the body belongs to the tenant the header
+/// names. Touches no state.
+///
+/// # Errors
+/// [`MigrateError::Decode`] if any section fails to decode or bytes
+/// trail the ledger; [`MigrateError::TenantMismatch`] for a body
+/// spliced behind another tenant's header.
+pub(crate) fn decode_blob(blob: &[u8]) -> Result<(Enclave, TenantLedger), MigrateError> {
+    let mut r = SnapReader::new(blob);
+    let header: BlobHeader = r.get("blob header")?;
+    let enc: Enclave = r.get("migrated enclave")?;
+    let ledger: TenantLedger = r.get("tenant ledger")?;
+    r.finish()?;
+    if enc.id().0 != header.tenant {
+        return Err(MigrateError::TenantMismatch {
+            header: header.tenant,
+            body: enc.id().0,
+        });
+    }
+    Ok((enc, ledger))
 }
 
 /// Chunk a blob into transfer frames of at most `payload` bytes each.

@@ -5,7 +5,10 @@
 use std::path::PathBuf;
 
 use itesp_core::Scheme;
-use itesp_migrate::{Cluster, ClusterConfig, ClusterWorkload, MigrateError, Residence};
+use itesp_migrate::{
+    peek_header, Cluster, ClusterConfig, ClusterWorkload, MigrateError, Residence,
+};
+use itesp_snap::SnapWriter;
 use itesp_trace::{benchmark, ChurnConfig, ChurnWorkload};
 
 fn workload(seed: u64) -> ClusterWorkload {
@@ -138,6 +141,72 @@ fn config_fingerprint_gates_foreign_blobs() {
         cluster.deliver_blob(1, &foreign),
         Err(MigrateError::ConfigMismatch { .. })
     ));
+}
+
+/// A bad blob leaves no trace: a padded, a truncated and a spliced
+/// blob (one tenant's header in front of another tenant's body) are
+/// each refused with a typed error before any node is touched, and the
+/// genuine blob still commits afterwards.
+#[test]
+fn malformed_blobs_are_refused_without_a_trace() {
+    let wl = workload(0xB10B);
+    let mut cluster = Cluster::new(ClusterConfig::small(3, 3, Scheme::Itesp), wl);
+    let live = |c: &Cluster, t: u64| match c.directory().entry(t)?.residence {
+        Residence::Live { node } => Some(node),
+        _ => None,
+    };
+    while live(&cluster, 0).is_none() || live(&cluster, 1).is_none() {
+        cluster.step().unwrap();
+    }
+    let (home0, home1) = (live(&cluster, 0).unwrap(), live(&cluster, 1).unwrap());
+    let to0 = (home0 + 1) % 3;
+    cluster.start_migration(0, to0).unwrap();
+    cluster.start_migration(1, (home1 + 1) % 3).unwrap();
+    let blob0 = cluster.inflight_blob(0).unwrap();
+    let blob1 = cluster.inflight_blob(1).unwrap();
+    let header_len = {
+        let mut w = SnapWriter::new();
+        w.put(&peek_header(&blob0).unwrap());
+        w.into_bytes().len()
+    };
+
+    let mut padded = blob0.clone();
+    padded.push(0);
+    let truncated = &blob0[..blob0.len() - 1];
+    let spliced: Vec<u8> = blob0[..header_len]
+        .iter()
+        .chain(&blob1[header_len..])
+        .copied()
+        .collect();
+    let before = (cluster.node_live_pages(), cluster.directory().clone());
+    for (what, blob) in [("padded", &padded[..]), ("truncated", truncated)] {
+        match cluster.deliver_blob(to0, blob) {
+            Err(MigrateError::Decode(_)) => {}
+            other => panic!("{what} blob: expected Decode, got {other:?}"),
+        }
+    }
+    match cluster.deliver_blob(to0, &spliced) {
+        Err(MigrateError::TenantMismatch { header: 0, body: 1 }) => {}
+        other => panic!("spliced blob: expected TenantMismatch, got {other:?}"),
+    }
+    assert_eq!(
+        (cluster.node_live_pages(), cluster.directory().clone()),
+        before,
+        "a refused blob changed cluster state"
+    );
+    assert_eq!(cluster.nodes()[to0].slot_of(0), None, "half-installed");
+    cluster.check_exactly_one_home().unwrap();
+
+    // The genuine transfer still lands.
+    while cluster.inflight_blob(0).is_some() {
+        cluster.step().unwrap();
+    }
+    let entry = cluster.directory().entry(0).unwrap();
+    assert_eq!(
+        (entry.epoch, entry.residence),
+        (2, Residence::Live { node: to0 })
+    );
+    cluster.run_to_completion().unwrap();
 }
 
 /// Crash-recovery equivalence: snapshots taken mid-run (including the

@@ -24,7 +24,7 @@ use std::collections::HashSet;
 use itesp_core::{
     EngineConfig, EngineStats, MacKey, Scheme, SecurityEngine, Snapshot, VerifiedMemory,
 };
-use itesp_enclave::{EnclaveManager, PAGE_BLOCKS};
+use itesp_enclave::{EnclaveManager, PAGE_BLOCKS, PAGE_BYTES};
 use itesp_oracle::with_seeds;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -121,7 +121,12 @@ fn churn(scheme: Scheme, seed: u64, memo: bool) -> (u64, u64, EngineStats) {
         for op in 0..rng.gen_range(8..24) {
             let vpage = rng.gen_range(0..tenant.footprint);
             let already_mapped = mgr.enclave(slot).unwrap().leaf_of(vpage).is_some();
-            let (leaf, _) = mgr.touch_page(&mut engine, slot, vpage, next_ppage);
+            let is_write = op == 0 || rng.gen_bool(0.6);
+            // Map the page with a read first: the fresh-counter check
+            // below must see the grant before a write bumps it.
+            let (_, block, _) =
+                mgr.access(&mut engine, slot, vpage * PAGE_BYTES, false, || next_ppage);
+            let leaf = block / PAGE_BLOCKS;
             next_ppage += 1;
             if !already_mapped {
                 assert!(
@@ -137,8 +142,10 @@ fn churn(scheme: Scheme, seed: u64, memo: bool) -> (u64, u64, EngineStats) {
                     recycles += 1;
                 }
             }
-            if op == 0 || rng.gen_bool(0.6) {
-                mgr.record_write(slot, vpage);
+            if is_write {
+                mgr.access(&mut engine, slot, vpage * PAGE_BYTES, true, || {
+                    unreachable!("the page was just mapped")
+                });
                 let block = block_of(leaf, &mut rng);
                 tenant.vm.write(block, [rng.gen::<u8>(); 64]);
                 tenant.written.push(block);

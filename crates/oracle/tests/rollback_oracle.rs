@@ -22,7 +22,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use itesp_core::{EngineConfig, Scheme, SecurityEngine};
-use itesp_enclave::EnclaveManager;
+use itesp_enclave::{EnclaveManager, PAGE_BLOCKS, PAGE_BYTES};
 use itesp_oracle::with_seeds;
 use itesp_snap::{Persist, SnapReader, SnapWriter, SnapshotStore, StoreError};
 
@@ -38,6 +38,20 @@ fn tmpdir(seed: u64) -> PathBuf {
 }
 
 /// One committed state: engine bytes then manager bytes.
+/// Access `vpage` of `slot`, backing it with `ppage` if this is its
+/// first touch; returns its leaf.
+fn access(
+    mgr: &mut EnclaveManager,
+    engine: &mut SecurityEngine,
+    slot: usize,
+    vpage: u64,
+    is_write: bool,
+    ppage: u64,
+) -> u64 {
+    let (_, block, _) = mgr.access(engine, slot, vpage * PAGE_BYTES, is_write, || ppage);
+    block / PAGE_BLOCKS
+}
+
 fn commit(store: &SnapshotStore, step: u64, engine: &SecurityEngine, mgr: &EnclaveManager) -> u64 {
     let mut w = SnapWriter::new();
     w.put(engine);
@@ -74,10 +88,10 @@ fn stale_snapshots_are_rejected_and_would_resurrect_freed_state() {
                 mgr.create(&mut engine, slot, 8);
             }
             for vpage in 0..8 {
-                let (leaf, _) = mgr.touch_page(&mut engine, 0, vpage, vpage);
+                let leaf = access(&mut mgr, &mut engine, 0, vpage, false, vpage);
                 engine.on_access(0, leaf * 64, leaf * 64, true);
             }
-            mgr.record_write(0, 3);
+            access(&mut mgr, &mut engine, 0, 3, true, 0);
             let victim_leaf = mgr.enclave(0).unwrap().leaf_of(3).unwrap();
             let victim_counter = mgr.counter_of(0, victim_leaf).unwrap();
             assert!(victim_counter > 0, "the victim page was written");
@@ -87,13 +101,13 @@ fn stale_snapshots_are_rejected_and_would_resurrect_freed_state() {
             // returned) and other counters advance past the snapshot.
             mgr.free_page(&mut engine, 0, 3);
             for _ in 0..4 {
-                mgr.record_write(0, 5);
+                access(&mut mgr, &mut engine, 0, 5, true, 0);
             }
             let mid_seq = commit(&store, 2, &engine, &mgr);
 
             // Epoch 3: more traffic; the head is the only live truth.
             for slot in 1..SLOTS {
-                let (leaf, _) = mgr.touch_page(&mut engine, slot, 0, 100 + slot as u64);
+                let leaf = access(&mut mgr, &mut engine, slot, 0, false, 100 + slot as u64);
                 engine.on_access(slot, leaf * 64, leaf * 64, true);
             }
             let head_seq = commit(&store, 3, &engine, &mgr);
@@ -185,9 +199,15 @@ fn committed_sequence_is_monotone() {
         for step in 0..6u64 {
             for slot in 0..SLOTS {
                 let vpage = step % 4;
-                let (leaf, _) = mgr.touch_page(&mut engine, slot, vpage, step * 16 + slot as u64);
+                let leaf = access(
+                    &mut mgr,
+                    &mut engine,
+                    slot,
+                    vpage,
+                    true,
+                    step * 16 + slot as u64,
+                );
                 engine.on_access(slot, leaf * 64, leaf * 64, true);
-                mgr.record_write(slot, vpage);
             }
             seqs.push(commit(&store, step + 1, &engine, &mgr));
         }

@@ -20,21 +20,19 @@
 use itesp_core::{AccessRequest, EngineConfig, Scheme, SecurityEngine};
 use itesp_dram::{DramConfig, MemorySystem};
 use itesp_enclave::EnclaveManager;
-use itesp_migrate::{Cluster, ClusterConfig, ClusterWorkload, Residence};
+use itesp_migrate::{Cluster, ClusterConfig, ClusterWorkload, Residence, TenantLedger};
 use itesp_serve::{Registry, TenantStats};
-use itesp_sim::{build_churn_ras_system, ExperimentParams, RasConfig, SnapshotSink};
+use itesp_sim::{build_churn_ras_system, ChurnDriver, ExperimentParams, RasConfig, SnapshotSink};
 use itesp_snap::{crc32, Persist, SnapError, SnapReader, SnapWriter, SnapshotStore};
-use itesp_trace::{benchmark, ChurnConfig, ChurnWorkload};
+use itesp_trace::{benchmark, ChurnConfig, ChurnWorkload, FrameAllocator, FreeListModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const SEED: u64 = 0x5EED_0012;
 
-/// `(snapshot, crc32, length in bytes)`. The `+overflow` engines, `SYST`
-/// and `CLUS` contain sections bumped to version 2 since these pins
-/// were first taken: `OVFL` and `CHAN` (native-width counters and DRAM
-/// coordinates) and `EMGR` (a master-key fingerprint instead of the
-/// master seed).
+/// `(snapshot, crc32, length in bytes)`. The `+overflow` engines, `SYST`,
+/// `CLUS` and `MIGB` contain sections bumped since these pins were
+/// first taken; [`BUMPS`] lists each with its reason.
 const PINS: &[(&str, u32, usize)] = &[
     ("ENGN UNSECURE", 0x6357949d, 244),
     ("ENGN VAULT", 0x87a62ab5, 27069),
@@ -53,9 +51,9 @@ const PINS: &[(&str, u32, usize)] = &[
     ("ENGN IRORAM", 0x342af614, 27355),
     ("ENGN SYN128 +overflow", 0x93de393c, 34826),
     ("ENGN ITESP128 +overflow", 0xbcd971e7, 36148),
-    ("SYST churn+RAS @ cycle 100004", 0xeb0e64f1, 126421),
-    ("CLUS tick 151", 0x4d697304, 18506),
-    ("MIGB tenant 0", 0x82ad43c3, 912),
+    ("SYST churn+RAS @ cycle 100004", 0x7887fac4, 124773),
+    ("CLUS tick 151", 0xf6474b90, 18530),
+    ("MIGB tenant 0", 0x37773af7, 904),
     ("SRVT 4 tenants", 0xfe5547ed, 622),
 ];
 
@@ -258,6 +256,51 @@ fn manager(master: u64) -> EnclaveManager {
     EnclaveManager::new(2, master)
 }
 
+/// A manager with one live, touched enclave.
+fn populated_manager() -> EnclaveManager {
+    let mut e = SecurityEngine::new(EngineConfig::paper_default(Scheme::Itesp));
+    let mut m = manager(7);
+    m.create(&mut e, 1, 16);
+    m.access(&mut e, 1, 5 * 4096, true, || 42);
+    m
+}
+
+fn small_churn() -> ChurnWorkload {
+    ChurnWorkload::generate(
+        benchmark("mcf").unwrap(),
+        &ChurnConfig {
+            slots: 2,
+            sessions_per_slot: 2,
+            ops_per_session: 50,
+            mean_arrival_gap: 1_000.0,
+            footprint_pages: 8,
+            free_fraction: 0.3,
+            seed: SEED,
+        },
+    )
+}
+
+fn churn_driver() -> ChurnDriver {
+    ChurnDriver::new(&small_churn(), 1 << 30, SEED, true)
+}
+
+fn frame_allocator() -> FrameAllocator {
+    FrameAllocator::new(
+        1 << 30,
+        FreeListModel::Fragmented {
+            mean_extent_pages: 4.0,
+            seed: SEED,
+        },
+    )
+}
+
+fn small_cluster() -> Cluster {
+    Cluster::new(
+        ClusterConfig::small(2, 2, Scheme::Itesp),
+        ClusterWorkload::from_churn(&small_churn(), 6),
+    )
+}
+
 /// A section whose bytes changed since the pins were first taken.
 struct Bump {
     tag: [u8; 4],
@@ -296,10 +339,62 @@ const BUMPS: &[Bump] = &[
     Bump {
         tag: *b"EMGR",
         old: 1,
-        new: 2,
+        new: 3,
         why: "a master-key fingerprint in place of the master seed",
         save: || bytes_of(&manager(7)),
         load: |b| manager(7).load(&mut SnapReader::new(b), "manager"),
+    },
+    Bump {
+        tag: *b"EMGR",
+        old: 2,
+        new: 3,
+        why: "lifecycle stats carry the eight per-phase traffic counters",
+        save: || bytes_of(&manager(7)),
+        load: |b| manager(7).load(&mut SnapReader::new(b), "manager"),
+    },
+    Bump {
+        tag: *b"ENCL",
+        old: 1,
+        new: 2,
+        why: "each enclave carries its own lifecycle counts",
+        save: || bytes_of(&populated_manager()),
+        load: |b| manager(7).load(&mut SnapReader::new(b), "manager"),
+    },
+    Bump {
+        tag: *b"CHRN",
+        old: 1,
+        new: 2,
+        why: "the driver keeps a frame allocator, not a page mapper and traffic tallies",
+        save: || bytes_of(&churn_driver()),
+        load: |b| churn_driver().load(&mut SnapReader::new(b), "churn driver"),
+    },
+    Bump {
+        tag: *b"PMAP",
+        old: 1,
+        new: 2,
+        why: "the free list alone: no per-program page tables or allocation count",
+        save: || bytes_of(&frame_allocator()),
+        load: |b| frame_allocator().load(&mut SnapReader::new(b), "frame allocator"),
+    },
+    Bump {
+        tag: *b"TLGR",
+        old: 1,
+        new: 2,
+        why: "op counts, fault stream and script cursor only; lifecycle counts moved to ENCL",
+        save: || bytes_of(&TenantLedger::new(SEED, 3)),
+        load: |b| TenantLedger::default().load(&mut SnapReader::new(b), "ledger"),
+    },
+    Bump {
+        tag: *b"CLUS",
+        old: 1,
+        new: 2,
+        why: "per-tenant residence read from the directory; a final slot per tenant",
+        save: || {
+            let mut w = SnapWriter::new();
+            small_cluster().save_state(&mut w);
+            w.into_bytes()
+        },
+        load: |b| small_cluster().load_state(&mut SnapReader::new(b)),
     },
 ];
 

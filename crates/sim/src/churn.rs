@@ -2,96 +2,34 @@
 //!
 //! [`ChurnDriver`] sits between the cores and the security engine: it
 //! admits sessions from a [`ChurnWorkload`] schedule into slots as
-//! their Poisson arrival times pass, translates their virtual accesses
-//! lazily (pages can be freed and re-touched, so translations cannot
-//! be precomputed), fires mid-session page frees, and tears enclaves
-//! down when their traces drain. Every lifecycle transition's metadata
-//! traffic — tree init writes, migration reads, counter resets, parity
-//! rebuilds, teardown zeroization — is returned to the system and
-//! contends for DRAM bandwidth like any other metadata.
+//! their Poisson arrival times pass, routes their virtual accesses to
+//! the enclave manager (pages can be freed and re-touched, so
+//! translations cannot be precomputed), fires mid-session page frees,
+//! and tears enclaves down when their traces drain. The manager owns
+//! the page tables and the lifecycle counts; the driver owns only the
+//! schedule and the OS free list the manager's first touches draw
+//! frames from. Every lifecycle transition's metadata traffic — tree
+//! init writes, migration reads, counter resets, parity rebuilds,
+//! teardown zeroization — is returned to the system and contends for
+//! DRAM bandwidth like any other metadata.
 
 use std::collections::VecDeque;
 
 use itesp_snap::{Persist, SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 
 use itesp_core::{MetaAccess, SecurityEngine};
-use itesp_enclave::EnclaveManager;
-use itesp_trace::{ChurnSession, ChurnWorkload, PageFree, PageMapper, PhysRecord, PAGE_BYTES};
+use itesp_enclave::{EnclaveManager, LifecycleStats};
+use itesp_trace::{
+    ChurnSession, ChurnWorkload, FrameAllocator, FreeListModel, PageFree, PhysRecord, PAGE_BYTES,
+};
 
-/// Mixed into the run seed for the churn mapper's fragmented free
-/// list, so page placement and session streams draw from independent
-/// randomness.
-const MAPPER_SEED_SALT: u64 = 0x9A6E_5EED;
+/// Mixed into the run seed for the churn free list, so page placement
+/// and session streams draw from independent randomness.
+const FRAMES_SEED_SALT: u64 = 0x9A6E_5EED;
 
-/// Mean extent length of the churn mapper's fragmented free list
-/// (matches the static experiments' long-running-kernel model).
-const MAPPER_MEAN_EXTENT: f64 = 4.0;
-
-/// Lifecycle activity measured over a churn run. Event counts come
-/// from the enclave manager; the traffic counters split the metadata
-/// DRAM accesses each lifecycle phase charged.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize, Persist)]
-pub struct ChurnStats {
-    // The lifecycle counts mirror the enclave manager's own stats
-    // (see [`ChurnDriver::stats`]); only the traffic counters are
-    // snapshot state of the driver.
-    #[persist(skip)]
-    pub created: u64,
-    #[persist(skip)]
-    pub destroyed: u64,
-    /// Tree re-roots (first-touch allocation outgrew leaf capacity).
-    #[persist(skip)]
-    pub grows: u64,
-    #[persist(skip)]
-    pub pages_freed: u64,
-    /// Leaf-id grants that reused a previously-freed id.
-    #[persist(skip)]
-    pub leaves_recycled: u64,
-    /// High-water mark of live pages across all slots.
-    #[persist(skip)]
-    pub peak_live_pages: u64,
-    /// Create: cache-repartition read-modify-writes.
-    pub init_reads: u64,
-    /// Create: private-tree initialization + repartition writebacks.
-    pub init_writes: u64,
-    /// Grow: old-tree migration reads.
-    pub migration_reads: u64,
-    /// Grow: new-layout initialization writes.
-    pub grow_writes: u64,
-    /// Free: parity-group rebuild reads.
-    pub reset_reads: u64,
-    /// Free: counter-reset and parity writes.
-    pub reset_writes: u64,
-    /// Destroy: survivor-repartition read-modify-writes.
-    pub zeroize_reads: u64,
-    /// Destroy: counter/MAC zeroization + repartition writebacks.
-    pub zeroize_writes: u64,
-}
-
-impl ChurnStats {
-    /// All metadata accesses charged to lifecycle operations.
-    pub fn lifecycle_accesses(&self) -> u64 {
-        self.init_reads
-            + self.init_writes
-            + self.migration_reads
-            + self.grow_writes
-            + self.reset_reads
-            + self.reset_writes
-            + self.zeroize_reads
-            + self.zeroize_writes
-    }
-}
-
-fn tally(traffic: &[MetaAccess], reads: &mut u64, writes: &mut u64) {
-    for t in traffic {
-        if t.is_write {
-            *writes += 1;
-        } else {
-            *reads += 1;
-        }
-    }
-}
+/// Mean extent length of the churn free list (matches the static
+/// experiments' long-running-kernel model).
+const FRAMES_MEAN_EXTENT: f64 = 4.0;
 
 /// The churn state machine the system consults every cycle.
 pub struct ChurnDriver {
@@ -103,14 +41,13 @@ pub struct ChurnDriver {
     /// Earliest cycle the slot's next session may start (`u64::MAX`
     /// once the queue is empty).
     pub(crate) ready_at: Vec<u64>,
-    mapper: PageMapper,
+    frames: FrameAllocator,
     manager: EnclaveManager,
-    traffic: ChurnStats,
 }
 
 impl ChurnDriver {
     /// Build a driver for `workload` over `phys_bytes` of allocatable
-    /// memory. `seed` keys the mapper's free-list placement and the
+    /// memory. `seed` keys the free-list placement and the
     /// per-enclave MAC keys; `rebuild_parity` picks the free-time
     /// parity policy (rebuild vs break).
     pub fn new(workload: &ChurnWorkload, phys_bytes: u64, seed: u64, rebuild_parity: bool) -> Self {
@@ -132,14 +69,14 @@ impl ChurnDriver {
             live: vec![false; slots],
             ready_at,
             queues,
-            mapper: PageMapper::fragmented(
-                slots,
+            frames: FrameAllocator::new(
                 phys_bytes,
-                MAPPER_MEAN_EXTENT,
-                seed ^ MAPPER_SEED_SALT,
+                FreeListModel::Fragmented {
+                    mean_extent_pages: FRAMES_MEAN_EXTENT,
+                    seed: seed ^ FRAMES_SEED_SALT,
+                },
             ),
             manager,
-            traffic: ChurnStats::default(),
         }
     }
 
@@ -172,11 +109,6 @@ impl ChurnDriver {
     ) -> Option<(Vec<PhysRecord>, Vec<MetaAccess>)> {
         let session = self.queues[slot].pop_front()?;
         let (_, traffic) = self.manager.create(engine, slot, session.footprint_pages);
-        tally(
-            &traffic,
-            &mut self.traffic.init_reads,
-            &mut self.traffic.init_writes,
-        );
         self.frees[slot] = session.frees.into();
         self.live[slot] = true;
         // The next tenant's arrival clock starts at this admission.
@@ -190,103 +122,65 @@ impl ChurnDriver {
             .map(|r| PhysRecord {
                 gap: r.gap,
                 op: r.op,
-                // Virtual: the mapper translates at fetch time.
+                // Virtual: the manager translates at fetch time.
                 paddr: r.vaddr,
             })
             .collect();
         Some((trace, traffic))
     }
 
-    /// Translate one access of a running session, paying first-touch
-    /// costs (leaf grant, tree growth) as they arise. Returns the
+    /// One access of a running session, paying first-touch costs
+    /// (frame, leaf grant, tree growth) as they arise. Returns the
     /// physical address, the enclave-domain block index, and the
     /// lifecycle traffic to enqueue.
     pub(crate) fn on_access(
         &mut self,
         slot: usize,
         vaddr: u64,
+        is_write: bool,
         engine: &mut SecurityEngine,
     ) -> (u64, u64, Vec<MetaAccess>) {
-        let t = self.mapper.translate(slot, vaddr);
-        let vpage = vaddr / PAGE_BYTES;
-        let (leaf, traffic) = self
-            .manager
-            .touch_page(engine, slot, vpage, t.paddr / PAGE_BYTES);
-        tally(
-            &traffic,
-            &mut self.traffic.migration_reads,
-            &mut self.traffic.grow_writes,
-        );
-        let eb = leaf * (PAGE_BYTES / 64) + (vaddr % PAGE_BYTES) / 64;
-        (t.paddr, eb, traffic)
+        let frames = &mut self.frames;
+        self.manager
+            .access(engine, slot, vaddr, is_write, || frames.alloc())
     }
 
-    /// Bump the write counter backing `vaddr`'s leaf.
-    pub(crate) fn record_write(&mut self, slot: usize, vaddr: u64) {
-        self.manager.record_write(slot, vaddr / PAGE_BYTES);
-    }
-
-    /// Fire one page-free event: unmap the frame and reset the leaf's
-    /// counters (plus parity rebuild-or-break) before recycling.
+    /// Fire one page-free event: reset the leaf's counters (plus
+    /// parity rebuild-or-break) before recycling, and return the frame
+    /// to the free list.
     pub(crate) fn free_page(
         &mut self,
         slot: usize,
         vaddr: u64,
         engine: &mut SecurityEngine,
     ) -> Vec<MetaAccess> {
-        if self.mapper.unmap_page(slot, vaddr).is_none() {
+        let Some((ppage, traffic)) = self.manager.free_page(engine, slot, vaddr / PAGE_BYTES)
+        else {
             return Vec::new(); // page never materialized
-        }
-        let (_, traffic) = self
-            .manager
-            .free_page(engine, slot, vaddr / PAGE_BYTES)
-            .expect("mapper and manager page tables diverged");
-        tally(
-            &traffic,
-            &mut self.traffic.reset_reads,
-            &mut self.traffic.reset_writes,
-        );
+        };
+        self.frames.free(ppage);
         traffic
     }
 
     /// Tear the slot's enclave down after its trace drained: zeroize
-    /// its metadata, release its pages, repartition the survivors.
+    /// its metadata, release its frames, repartition the survivors.
     pub(crate) fn session_end(
         &mut self,
         slot: usize,
         engine: &mut SecurityEngine,
     ) -> Vec<MetaAccess> {
-        // The two page tables are maintained on disjoint code paths;
-        // divergence means a leaked or double-freed page.
-        assert_eq!(
-            self.mapper.live_pages() as u64,
-            self.manager.total_live_pages(),
-            "mapper/manager live-page divergence at teardown"
-        );
         self.frees[slot].clear();
-        self.mapper.release_program(slot);
-        let traffic = self.manager.destroy(engine, slot);
-        tally(
-            &traffic,
-            &mut self.traffic.zeroize_reads,
-            &mut self.traffic.zeroize_writes,
-        );
+        let (freed, traffic) = self.manager.destroy(engine, slot);
+        for ppage in freed {
+            self.frames.free(ppage);
+        }
         self.live[slot] = false;
         traffic
     }
 
-    /// Merged lifecycle statistics for the run result.
-    pub fn stats(&self) -> ChurnStats {
-        let m = self.manager.stats();
-        ChurnStats {
-            created: m.created,
-            destroyed: m.destroyed,
-            grows: m.grows,
-            pages_freed: m.pages_freed,
-            leaves_recycled: m.leaves_recycled,
-            peak_live_pages: m.peak_live_pages,
-            ..self.traffic
-        }
+    /// The run's lifecycle statistics.
+    pub fn stats(&self) -> LifecycleStats {
+        self.manager.stats()
     }
 }
 
@@ -298,18 +192,17 @@ impl ChurnDriver {
 /// events are stored verbatim (they are partially consumed).
 impl Persist for ChurnDriver {
     fn save(&self, w: &mut SnapWriter) {
-        w.section("CHRN", 1);
+        w.section("CHRN", 2);
         w.put(&self.queues.iter().map(VecDeque::len).collect::<Vec<_>>());
         w.put(&self.frees);
         w.put(&self.live);
         w.put(&self.ready_at);
-        w.put(&self.mapper);
+        w.put(&self.frames);
         w.put(&self.manager);
-        w.put(&self.traffic);
     }
 
     fn load(&mut self, r: &mut SnapReader, _what: &'static str) -> Result<(), SnapError> {
-        r.section("CHRN", 1)?;
+        r.section("CHRN", 2)?;
         let at = r.pos();
         let remaining: Vec<usize> = r.get("remaining sessions")?;
         if remaining.len() != self.queues.len() {
@@ -330,9 +223,8 @@ impl Persist for ChurnDriver {
         r.load_exact(&mut self.frees, "churn free-queue count")?;
         r.load_exact(&mut self.live, "churn live-flag count")?;
         r.load_exact(&mut self.ready_at, "churn ready_at count")?;
-        self.mapper.load(r, "page mapper")?;
-        self.manager.load(r, "enclave manager")?;
-        self.traffic.load(r, "churn traffic")
+        self.frames.load(r, "frame allocator")?;
+        self.manager.load(r, "enclave manager")
     }
 }
 

@@ -32,7 +32,7 @@ pub mod recovery;
 pub mod stats;
 pub mod system;
 
-pub use churn::{ChurnDriver, ChurnStats};
+pub use churn::ChurnDriver;
 pub use covert::{run_channel, ChannelPoint, CovertConfig, LatencyRange};
 pub use experiments::{
     build_churn_ras_system, run_experiment, run_named, run_workload, run_workload_churn,

@@ -4,8 +4,8 @@ use serde::{Deserialize, Serialize};
 
 use itesp_core::{CacheStats, EngineStats, SecurityEngine};
 use itesp_dram::{ChannelStats, EnergyBreakdown, MemorySystem};
+use itesp_enclave::LifecycleStats;
 
-use crate::churn::ChurnStats;
 use crate::ras::RasStats;
 use crate::system::CPU_PER_DRAM_CYCLE;
 
@@ -31,7 +31,7 @@ pub struct RunResult {
     /// Online RAS pipeline statistics (all zeros when RAS was off).
     pub ras: RasStats,
     /// Enclave lifecycle statistics (all zeros for static workloads).
-    pub churn: ChurnStats,
+    pub churn: LifecycleStats,
 }
 
 impl RunResult {
@@ -43,7 +43,7 @@ impl RunResult {
         mem: &MemorySystem,
         drained_writes: u64,
         ras: RasStats,
-        churn: ChurnStats,
+        churn: LifecycleStats,
     ) -> Self {
         let dram_cycles = cycles / CPU_PER_DRAM_CYCLE;
         RunResult {
@@ -119,7 +119,7 @@ mod tests {
             },
             drained_writes: 0,
             ras: RasStats::default(),
-            churn: ChurnStats::default(),
+            churn: LifecycleStats::default(),
         }
     }
 

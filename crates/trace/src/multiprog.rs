@@ -18,9 +18,6 @@ use crate::workload::WorkloadGen;
 pub struct MultiProgram {
     /// One physical trace per program.
     pub traces: Vec<Vec<PhysRecord>>,
-    /// Per-program page/leaf-id mappings (consumed by the isolation
-    /// machinery and by statistics).
-    pub mapper: PageMapper,
     /// Benchmark name, for reporting.
     pub name: String,
 }
@@ -168,18 +165,16 @@ impl MultiProgram {
         for idx in 0..longest {
             for (prog, vtrace) in virt.iter().enumerate() {
                 if let Some(r) = vtrace.get(idx) {
-                    let t = mapper.translate(prog, r.vaddr);
                     traces[prog].push(PhysRecord {
                         gap: r.gap,
                         op: r.op,
-                        paddr: t.paddr,
+                        paddr: mapper.translate(prog, r.vaddr),
                     });
                 }
             }
         }
         MultiProgram {
             traces,
-            mapper,
             name: name.to_owned(),
         }
     }
