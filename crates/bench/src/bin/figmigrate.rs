@@ -25,17 +25,18 @@
 //! Failures print an `ITESP_TEST_SEED` replay line.
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Command, Stdio};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use itesp_bench::drill::{Drill, Kill, SnapshotConfig};
 use itesp_bench::{ops_from_env, print_table, save_json};
 use itesp_core::Scheme;
 use itesp_migrate::{
     peek_header, Cluster, ClusterConfig, ClusterStats, ClusterWorkload, MigrateError,
 };
 use itesp_reliability::env_seed;
-use itesp_snap::{SnapshotStore, StoreError};
+use itesp_snap::SnapshotStore;
 use itesp_trace::{benchmark, ChurnConfig, ChurnWorkload};
 
 const NODES: usize = 4;
@@ -50,10 +51,6 @@ const CHILD_ENV: &str = "ITESP_FIGMIGRATE_CHILD";
 /// File the child drops once a transfer is in flight and it is
 /// standing still, waiting for the parent's SIGKILL.
 const MARKER: &str = "freeze.marker";
-
-fn replay(seed: u64) -> String {
-    format!("replay: ITESP_TEST_SEED={seed} cargo run --release -p itesp-bench --bin figmigrate")
-}
 
 /// The drill workload: a pure function of `(seed, ops)` so the
 /// reference, the cluster, the killed child, and every recovery all
@@ -128,23 +125,14 @@ fn wedge_limit(wl: &ClusterWorkload) -> u64 {
     wl.max_arrival() + 4 * wl.total_ops() as u64 + 100_000
 }
 
-fn scratch(tag: &str, seed: u64) -> PathBuf {
-    let d = std::env::temp_dir().join(format!(
-        "itesp-figmigrate-{tag}-{}-{seed}",
-        std::process::id()
-    ));
-    let _ = fs::remove_dir_all(&d);
-    d
-}
-
 /// Child mode: run the scheduled cluster with snapshots attached. The
 /// moment the first migration freezes (which forces a snapshot), drop
 /// the marker file and stand still so the parent's SIGKILL lands while
 /// the transfer is in flight. If the kill never comes, finish anyway.
 fn child_main(seed: u64, ops: usize) -> ! {
-    let dir: PathBuf = std::env::var_os("ITESP_SNAPSHOT_DIR")
+    let dir = SnapshotConfig::from_env()
         .expect("child needs ITESP_SNAPSHOT_DIR")
-        .into();
+        .dir;
     let wl = workload(seed, ops);
     let s = schedule(&wl);
     let limit = wedge_limit(&wl);
@@ -170,7 +158,8 @@ fn child_main(seed: u64, ops: usize) -> ! {
 /// Stage 2: the 4-node run. Captures the first transfer's wire blob,
 /// finishes the schedule, proves byte-identity with the reference, and
 /// replays the stale blob at every surviving node.
-fn live_cluster_drill(seed: u64, ops: usize, expect: &str) -> (ClusterStats, u64, usize) {
+fn live_cluster_drill(drill: Drill, ops: usize, expect: &str) -> (ClusterStats, u64, usize) {
+    let seed = drill.seed;
     let wl = workload(seed, ops);
     let s = schedule(&wl);
     let limit = wedge_limit(&wl);
@@ -181,8 +170,7 @@ fn live_cluster_drill(seed: u64, ops: usize, expect: &str) -> (ClusterStats, u64
         cluster.step().expect("cluster step");
         assert!(
             cluster.tick() < limit,
-            "no migration ever started ({})",
-            replay(seed)
+            "no migration ever started ({drill})"
         );
     }
     let frozen = cluster.inflight()[0].tenant;
@@ -191,17 +179,15 @@ fn live_cluster_drill(seed: u64, ops: usize, expect: &str) -> (ClusterStats, u64
 
     cluster
         .run_to_completion()
-        .unwrap_or_else(|e| panic!("cluster run failed: {e} ({})", replay(seed)));
+        .unwrap_or_else(|e| panic!("cluster run failed: {e} ({drill})"));
     assert_eq!(
         cluster.tenants_json(),
         expect,
-        "placement leaked into per-tenant stats ({})",
-        replay(seed)
+        "placement leaked into per-tenant stats ({drill})"
     );
     assert!(
         cluster.nodes()[0].retired(),
-        "drained node 0 never retired ({})",
-        replay(seed)
+        "drained node 0 never retired ({drill})"
     );
     assert!(cluster.stats().migrations_committed >= 2);
 
@@ -222,28 +208,27 @@ fn live_cluster_drill(seed: u64, ops: usize, expect: &str) -> (ClusterStats, u64
                 assert!(current_epoch > blob_epoch);
                 rejected += 1;
             }
-            other => panic!(
-                "node {node}: stale blob replay must be EpochStale, got {other:?} ({})",
-                replay(seed)
-            ),
+            other => {
+                panic!("node {node}: stale blob replay must be EpochStale, got {other:?} ({drill})")
+            }
         }
         assert_eq!(
             cluster.node_live_pages(),
             before,
-            "rejection mutated node state ({})",
-            replay(seed)
+            "rejection mutated node state ({drill})"
         );
     }
     cluster
         .check_exactly_one_home()
-        .unwrap_or_else(|e| panic!("residency invariant broken: {e} ({})", replay(seed)));
+        .unwrap_or_else(|e| panic!("residency invariant broken: {e} ({drill})"));
     (cluster.stats(), stale_epoch, rejected)
 }
 
 /// Stage 3: spawn the child, SIGKILL it mid-transfer (the marker file
 /// says when), recover from the snapshots, and finish the run.
-/// Returns (kill landed, recovered snapshot seq, WAL head at kill).
-fn kill_and_recover(seed: u64, ops: usize, expect: &str, dir: &Path) -> (bool, u64, u64) {
+/// Returns (recovered snapshot seq, WAL head at kill).
+fn kill_and_recover(drill: Drill, ops: usize, expect: &str, dir: &Path) -> (u64, u64) {
+    let seed = drill.seed;
     let exe = std::env::current_exe().expect("own path");
     let mut child = Command::new(exe)
         .env(CHILD_ENV, "1")
@@ -254,26 +239,14 @@ fn kill_and_recover(seed: u64, ops: usize, expect: &str, dir: &Path) -> (bool, u
         .stderr(Stdio::inherit())
         .spawn()
         .expect("spawn drill child");
-
-    let deadline = Instant::now() + Duration::from_secs(600);
-    let killed = loop {
-        if dir.join(MARKER).exists() {
-            child.kill().expect("SIGKILL child");
-            child.wait().expect("reap child");
-            break true;
-        }
-        assert!(
-            child.try_wait().expect("poll child").is_none(),
-            "drill child exited before freezing a transfer ({})",
-            replay(seed)
-        );
-        assert!(
-            Instant::now() < deadline,
-            "drill child hung before its first migration ({})",
-            replay(seed)
-        );
-        std::thread::sleep(Duration::from_millis(2));
-    };
+    let kill = drill.kill_when(&mut child, "its first migration", || {
+        dir.join(MARKER).exists()
+    });
+    assert_eq!(
+        kill,
+        Kill::Killed,
+        "drill child exited before freezing a transfer ({drill})"
+    );
 
     let store = SnapshotStore::open(dir).expect("open drill store");
     let head = store
@@ -284,33 +257,31 @@ fn kill_and_recover(seed: u64, ops: usize, expect: &str, dir: &Path) -> (bool, u
     let wl = workload(seed, ops);
     let s = schedule(&wl);
     let (mut recovered, meta) = Cluster::recover(cluster_cfg(seed), wl, dir, DRILL_EVERY)
-        .unwrap_or_else(|e| panic!("recovery after SIGKILL failed: {e} ({})", replay(seed)));
+        .unwrap_or_else(|e| panic!("recovery after SIGKILL failed: {e} ({drill})"));
     assert!(
         !recovered.inflight().is_empty(),
-        "latest snapshot should hold the frozen transfer ({})",
-        replay(seed)
+        "latest snapshot should hold the frozen transfer ({drill})"
     );
     recovered
         .check_exactly_one_home()
-        .unwrap_or_else(|e| panic!("post-crash residency broken: {e} ({})", replay(seed)));
+        .unwrap_or_else(|e| panic!("post-crash residency broken: {e} ({drill})"));
     register(&mut recovered, &s);
     recovered
         .run_to_completion()
-        .unwrap_or_else(|e| panic!("recovered run failed: {e} ({})", replay(seed)));
+        .unwrap_or_else(|e| panic!("recovered run failed: {e} ({drill})"));
     assert_eq!(
         recovered.tenants_json(),
         expect,
-        "recovered run diverged from the reference ({})",
-        replay(seed)
+        "recovered run diverged from the reference ({drill})"
     );
-    (killed, meta.seq, head)
+    (meta.seq, head)
 }
 
-/// Stage 4: the cluster anti-rollback oracle. Every stale snapshot
-/// restored as-if-latest must be rejected; withholding the head file
-/// must be detected while replay recovery still reproduces the run.
-/// Returns (snapshots committed, stale restores rejected).
-fn rollback_oracle(seed: u64, ops: usize, expect: &str, dir: &Path) -> (usize, usize) {
+/// Stage 4: run the schedule to completion with snapshots, then the
+/// cluster rollback oracle over them. Returns the snapshots committed,
+/// every one of them a rejected stale restore.
+fn rollback_oracle(drill: Drill, ops: usize, expect: &str, dir: &Path) -> usize {
+    let seed = drill.seed;
     let wl = workload(seed, ops);
     let s = schedule(&wl);
     let mut cluster = Cluster::new(cluster_cfg(seed), wl.clone());
@@ -320,60 +291,22 @@ fn rollback_oracle(seed: u64, ops: usize, expect: &str, dir: &Path) -> (usize, u
     register(&mut cluster, &s);
     cluster
         .run_to_completion()
-        .unwrap_or_else(|e| panic!("oracle run failed: {e} ({})", replay(seed)));
-    assert_eq!(cluster.tenants_json(), expect, "{}", replay(seed));
+        .unwrap_or_else(|e| panic!("oracle run failed: {e} ({drill})"));
+    assert_eq!(cluster.tenants_json(), expect, "{drill}");
     drop(cluster);
 
-    let store = SnapshotStore::open(dir).expect("reopen oracle store");
-    let records = store.wal_records().expect("read oracle WAL");
-    assert!(
-        records.len() >= 2,
-        "oracle needs at least two checkpoints, got {} ({})",
-        records.len(),
-        replay(seed)
-    );
-    let head = records.last().expect("non-empty").seq;
-    assert_eq!(store.latest_seq().expect("head seq"), Some(head));
-    let mut rejected = 0;
-    for rec in &records[..records.len() - 1] {
-        match store.verify_fresh(rec.seq) {
-            Err(StoreError::RollbackDetected { .. }) => rejected += 1,
-            other => panic!(
-                "stale snapshot {} restored as-if-latest must be detected, got {other:?} ({})",
-                rec.seq,
-                replay(seed)
-            ),
-        }
-    }
-    store.verify_fresh(head).expect("the head is fresh");
-
-    // The attacker's move: withhold the newest snapshot file. Strict
-    // freshness names the missing head; replay recovery falls back to
-    // the older state and still reproduces the run byte-for-byte.
-    fs::remove_file(dir.join(format!("snap-{head:016}.bin"))).expect("drop head snapshot");
-    let (mut recovered, meta) = Cluster::recover(cluster_cfg(seed), wl, dir, DRILL_EVERY)
-        .unwrap_or_else(|e| panic!("fallback recovery failed: {e} ({})", replay(seed)));
-    assert!(meta.seq < head, "recovery must fall back past the head");
-    match store.verify_fresh(meta.seq) {
-        Err(StoreError::RollbackDetected { wal_seq, .. }) => {
-            assert_eq!(wal_seq, head, "the WAL names the withheld head");
-        }
-        other => panic!(
-            "strict restore of a withheld head must be detected, got {other:?} ({})",
-            replay(seed)
-        ),
-    }
-    register(&mut recovered, &s);
-    recovered
-        .run_to_completion()
-        .unwrap_or_else(|e| panic!("fallback replay failed: {e} ({})", replay(seed)));
-    assert_eq!(
-        recovered.tenants_json(),
+    drill.rollback_oracle(
+        dir,
         expect,
-        "replay from the stale snapshot diverged ({})",
-        replay(seed)
-    );
-    (records.len(), rejected + 1)
+        || Cluster::new(cluster_cfg(seed), wl.clone()),
+        |mut recovered| {
+            register(&mut recovered, &s);
+            recovered
+                .run_to_completion()
+                .unwrap_or_else(|e| panic!("fallback replay failed: {e} ({drill})"));
+            recovered.tenants_json()
+        },
+    )
 }
 
 fn main() {
@@ -382,6 +315,7 @@ fn main() {
     if std::env::var_os(CHILD_ENV).is_some() {
         child_main(seed, ops);
     }
+    let drill = Drill::new("figmigrate", seed);
 
     eprintln!("[figmigrate: single-node reference, {ops} ops, seed {seed}]");
     let wl = workload(seed, ops);
@@ -389,21 +323,21 @@ fn main() {
     let mut reference = Cluster::new(reference_cfg(seed, tenants), wl);
     reference
         .run_to_completion()
-        .unwrap_or_else(|e| panic!("reference run failed: {e} ({})", replay(seed)));
+        .unwrap_or_else(|e| panic!("reference run failed: {e} ({drill})"));
     let expect = reference.tenants_json();
 
     eprintln!("[figmigrate: 4-node cluster, scripted hops + drain + rebalancer]");
-    let (stats, stale_epoch, stale_rejected) = live_cluster_drill(seed, ops, &expect);
+    let (stats, stale_epoch, stale_rejected) = live_cluster_drill(drill, ops, &expect);
 
     eprintln!("[figmigrate: SIGKILL mid-transfer drill]");
-    let drill_dir = scratch("drill", seed);
-    let (killed, recovered_seq, snapshots_at_kill) =
-        kill_and_recover(seed, ops, &expect, &drill_dir);
+    let drill_dir = drill.scratch("drill");
+    let (recovered_seq, snapshots_at_kill) = kill_and_recover(drill, ops, &expect, &drill_dir);
     let _ = fs::remove_dir_all(&drill_dir);
 
     eprintln!("[figmigrate: cluster anti-rollback oracle]");
-    let oracle_dir = scratch("oracle", seed);
-    let (oracle_snapshots, stale_restores) = rollback_oracle(seed, ops, &expect, &oracle_dir);
+    let oracle_dir = drill.scratch("oracle");
+    let oracle_snapshots = rollback_oracle(drill, ops, &expect, &oracle_dir);
+    let stale_restores = oracle_snapshots;
     let _ = fs::remove_dir_all(&oracle_dir);
 
     #[derive(serde::Serialize)]
@@ -436,7 +370,7 @@ fn main() {
         drains_completed: stats.drains_completed,
         stale_blob_epoch: stale_epoch,
         stale_replays_rejected: stale_rejected,
-        child_killed: killed,
+        child_killed: true,
         snapshots_at_kill,
         recovered_seq,
         recovered_identical: true,
@@ -459,7 +393,7 @@ fn main() {
             stats.migrations_committed.to_string(),
             stats.drains_completed.to_string(),
             format!("{stale_rejected}/{stale_rejected}"),
-            killed.to_string(),
+            "true".to_owned(),
             recovered_seq.to_string(),
             "yes".to_owned(),
             format!("{stale_restores}/{stale_restores}"),

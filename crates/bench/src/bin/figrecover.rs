@@ -2,7 +2,7 @@
 //! prove the result.
 //!
 //! The headline robustness claim is that the durable security state —
-//! snapshot files plus write-ahead log (see `itesp-sim::recovery`) —
+//! snapshot files plus write-ahead log (see `itesp-snap`) —
 //! loses nothing a crash can take: because the simulator is
 //! deterministic, "load the newest good snapshot, replay the suffix"
 //! reproduces the uninterrupted run **byte for byte**. This drill
@@ -26,22 +26,24 @@
 //! Run: `cargo run --release -p itesp-bench --bin figrecover [ops]`
 //! With `--recover` (or `ITESP_RECOVER=1`) and `ITESP_SNAPSHOT_DIR`
 //! set, skips the drill and resumes the schedule from the snapshots on
-//! disk — the operator-facing recovery path.
+//! disk — the operator-facing recovery path. This binary reads
+//! `ITESP_SNAPSHOT_DIR`/`ITESP_SNAPSHOT_EVERY` itself (see
+//! [`SnapshotConfig`]).
 //! Failures print an `ITESP_TEST_SEED` replay line.
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Command, Stdio};
-use std::time::{Duration, Instant};
 
+use itesp_bench::drill::{Drill, Kill, SnapshotConfig};
 use itesp_bench::{ops_from_env, print_table, recover_from_env, save_json};
 use itesp_core::Scheme;
 use itesp_reliability::env_seed;
 use itesp_sim::{
-    build_churn_ras_system, recover_system, recover_system_strict, ExperimentParams, RasConfig,
-    RecoverError, RunResult, SnapshotConfig, System,
+    build_churn_ras_system, recover_system, ExperimentParams, RasConfig, RunResult, SnapshotSink,
+    System,
 };
-use itesp_snap::{SnapshotStore, StoreError};
+use itesp_snap::SnapshotStore;
 use itesp_trace::{benchmark, ChurnConfig, ChurnWorkload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -55,10 +57,6 @@ const CHILD_ENV: &str = "ITESP_FIGRECOVER_CHILD";
 /// Default CPU cycles between the drill's snapshots — small enough
 /// that even a quick run commits several checkpoints to kill between.
 const DRILL_EVERY: u64 = 50_000;
-
-fn replay(seed: u64) -> String {
-    format!("replay: ITESP_TEST_SEED={seed} cargo run --release -p itesp-bench --bin figrecover")
-}
 
 /// The drill's churn+RAS schedule: one `System`, a pure function of
 /// `(seed, ops)` so parent, child, and the recovery path all rebuild
@@ -89,15 +87,6 @@ fn fingerprint(r: &RunResult) -> String {
     serde_json::to_string_pretty(r).expect("RunResult serializes")
 }
 
-fn scratch(tag: &str, seed: u64) -> PathBuf {
-    let d = std::env::temp_dir().join(format!(
-        "itesp-figrecover-{tag}-{}-{seed}",
-        std::process::id()
-    ));
-    let _ = fs::remove_dir_all(&d);
-    d
-}
-
 /// Child mode: run the schedule with snapshots attached and leave the
 /// final fingerprint next to them. The parent kills us somewhere in
 /// the middle — if we survive to the end, the drill still verifies
@@ -105,7 +94,9 @@ fn scratch(tag: &str, seed: u64) -> PathBuf {
 fn child_main(seed: u64, ops: usize) -> ! {
     let cfg = SnapshotConfig::from_env().expect("child needs ITESP_SNAPSHOT_DIR");
     let mut sys = build_system(seed, ops);
-    sys.attach_snapshots(cfg.sink().expect("child snapshot dir must open"));
+    sys.attach_snapshots(
+        SnapshotSink::new(&cfg.dir, cfg.every).expect("child snapshot dir must open"),
+    );
     let r = sys.try_run().expect("drill RAS config never halts");
     fs::write(cfg.dir.join("final.json"), fingerprint(&r)).expect("write child fingerprint");
     std::process::exit(0);
@@ -139,7 +130,7 @@ fn recover_main(seed: u64, ops: usize) -> ! {
 /// checkpoints, recover, and return (snapshots seen, whether the kill
 /// landed, the recovered seq, the recovered fingerprint).
 fn kill_and_recover(
-    seed: u64,
+    drill: Drill,
     ops: usize,
     kill_after: usize,
     dir: &Path,
@@ -147,7 +138,7 @@ fn kill_and_recover(
     let exe = std::env::current_exe().expect("own path");
     let mut child = Command::new(exe)
         .env(CHILD_ENV, "1")
-        .env("ITESP_TEST_SEED", seed.to_string())
+        .env("ITESP_TEST_SEED", drill.seed.to_string())
         .env("ITESP_OPS", ops.to_string())
         .env("ITESP_SNAPSHOT_DIR", dir)
         .env("ITESP_SNAPSHOT_EVERY", DRILL_EVERY.to_string())
@@ -156,106 +147,43 @@ fn kill_and_recover(
         .spawn()
         .expect("spawn drill child");
 
+    // The head seq counts every commit ever acknowledged; the record
+    // *count* no longer does, since pruning compacts the WAL. A child
+    // that finishes before the kill lands is still verifiable.
     let store = SnapshotStore::open(dir).expect("open drill store");
-    let deadline = Instant::now() + Duration::from_secs(600);
-    let mut killed = false;
-    loop {
-        if child.try_wait().expect("poll child").is_some() {
-            break; // finished before the kill landed — still verifiable
-        }
-        // The head seq counts every commit ever acknowledged; the
-        // record *count* no longer does, since pruning compacts the WAL.
-        let committed = store
-            .wal_head()
-            .ok()
-            .flatten()
-            .map_or(0, |r| r.seq as usize);
-        if committed >= kill_after {
-            child.kill().expect("SIGKILL child");
-            child.wait().expect("reap child");
-            killed = true;
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "drill child hung before committing {kill_after} snapshots ({})",
-            replay(seed)
-        );
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    let what = format!("committing {kill_after} snapshots");
+    let killed = drill.kill_when(&mut child, &what, || {
+        let committed = store.wal_head().ok().flatten().map_or(0, |r| r.seq);
+        committed as usize >= kill_after
+    }) == Kill::Killed;
 
     let records = store.wal_records().expect("read drill WAL");
     assert!(
         !records.is_empty(),
         "child died before its first checkpoint — raise ops or lower \
-         ITESP_SNAPSHOT_EVERY ({})",
-        replay(seed)
+         ITESP_SNAPSHOT_EVERY ({drill})"
     );
-    let mut sys = build_system(seed, ops);
+    let mut sys = build_system(drill.seed, ops);
     let meta = recover_system(&mut sys, dir)
-        .unwrap_or_else(|e| panic!("recovery after SIGKILL failed: {e} ({})", replay(seed)));
+        .unwrap_or_else(|e| panic!("recovery after SIGKILL failed: {e} ({drill})"));
     let fp = fingerprint(&sys.try_run().expect("drill RAS config never halts"));
     (records.len(), killed, meta.seq, fp)
 }
 
-/// Stage 3: every stale snapshot must be rejected as-if-latest, and an
-/// intact-but-old snapshot served in place of the head must trip the
-/// strict path while suffix replay still recovers. Returns (snapshots
-/// committed, stale restores rejected).
-fn rollback_oracle(seed: u64, ops: usize, reference: &str, dir: &Path) -> (usize, usize) {
+/// Stage 3: run to completion with snapshots, then the rollback
+/// oracle over them. Returns the snapshots committed, every one of
+/// them a rejected stale restore.
+fn rollback_oracle(drill: Drill, ops: usize, reference: &str, dir: &Path) -> usize {
+    let seed = drill.seed;
     let mut sys = build_system(seed, ops);
-    sys.attach_snapshots(
-        itesp_sim::SnapshotSink::new(dir, DRILL_EVERY).expect("open oracle store"),
-    );
+    sys.attach_snapshots(SnapshotSink::new(dir, DRILL_EVERY).expect("open oracle store"));
     sys.try_run().expect("drill RAS config never halts");
-
-    let store = SnapshotStore::open(dir).expect("reopen oracle store");
-    let records = store.wal_records().expect("read oracle WAL");
-    assert!(
-        records.len() >= 2,
-        "oracle needs at least two checkpoints, got {} ({})",
-        records.len(),
-        replay(seed)
-    );
-    let head = records.last().expect("non-empty").seq;
-    let mut rejected = 0;
-    for rec in &records[..records.len() - 1] {
-        match store.verify_fresh(rec.seq) {
-            Err(StoreError::RollbackDetected { .. }) => rejected += 1,
-            other => panic!(
-                "stale snapshot {} restored as-if-latest must be detected, got {other:?} ({})",
-                rec.seq,
-                replay(seed)
-            ),
-        }
-    }
-    store.verify_fresh(head).expect("the head is fresh");
-
-    // The attacker's move: serve an old-but-intact snapshot by deleting
-    // the newest file. Strict restore detects it; replay recovery
-    // shrugs and reproduces the run from the older state.
-    fs::remove_file(dir.join(format!("snap-{head:016}.bin"))).expect("drop head snapshot");
-    let mut sys = build_system(seed, ops);
-    match recover_system_strict(&mut sys, dir) {
-        Err(RecoverError::Store(StoreError::RollbackDetected { wal_seq, .. })) => {
-            assert_eq!(wal_seq, head, "the WAL names the withheld head");
-        }
-        other => panic!(
-            "strict restore of a withheld head must be detected, got {other:?} ({})",
-            replay(seed)
-        ),
-    }
-    let mut sys = build_system(seed, ops);
-    recover_system(&mut sys, dir)
-        .unwrap_or_else(|e| panic!("replay recovery failed: {e} ({})", replay(seed)));
-    let fp = fingerprint(&sys.try_run().expect("drill RAS config never halts"));
-    assert_eq!(
-        fp,
+    drill.rollback_oracle(
+        dir,
         reference,
-        "replay from the stale snapshot diverged ({})",
-        replay(seed)
-    );
-    (records.len(), rejected + 1)
+        || build_system(seed, ops),
+        |sys| fingerprint(&sys.try_run().expect("drill RAS config never halts")),
+    )
 }
 
 fn main() {
@@ -271,22 +199,22 @@ fn main() {
     eprintln!("[figrecover: reference run, {ops} ops, seed {seed}]");
     let reference = fingerprint(&build_system(seed, ops).try_run().expect("reference run"));
 
+    let drill = Drill::new("figrecover", seed);
     let kill_after = StdRng::seed_from_u64(seed ^ 0x5163_4411).gen_range(1..=3);
     eprintln!("[figrecover: SIGKILL drill after {kill_after} checkpoint(s)]");
-    let drill_dir = scratch("drill", seed);
+    let drill_dir = drill.scratch("drill");
     let (snapshots, killed, recovered_seq, recovered) =
-        kill_and_recover(seed, ops, kill_after, &drill_dir);
+        kill_and_recover(drill, ops, kill_after, &drill_dir);
     assert_eq!(
-        recovered,
-        reference,
-        "recovered run diverged from the uninterrupted run ({})",
-        replay(seed)
+        recovered, reference,
+        "recovered run diverged from the uninterrupted run ({drill})"
     );
     let _ = fs::remove_dir_all(&drill_dir);
 
     eprintln!("[figrecover: anti-rollback oracle]");
-    let oracle_dir = scratch("oracle", seed);
-    let (committed, rejected) = rollback_oracle(seed, ops, &reference, &oracle_dir);
+    let oracle_dir = drill.scratch("oracle");
+    let committed = rollback_oracle(drill, ops, &reference, &oracle_dir);
+    let rejected = committed;
     let _ = fs::remove_dir_all(&oracle_dir);
 
     #[derive(serde::Serialize)]

@@ -24,12 +24,13 @@
 
 use std::fs;
 use std::net::SocketAddr;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use itesp_bench::drill::{Drill, Kill};
 use itesp_bench::{ops_from_env, print_table, save_json};
 use itesp_reliability::env_seed;
 use itesp_serve::chaos::ChaosMode;
@@ -46,19 +47,6 @@ const TENANTS: u64 = 8;
 const CURSED_TENANT: u64 = 99;
 /// Rounds of each hostile-client mode during the chaos session.
 const CHAOS_ROUNDS: usize = 3;
-
-fn replay(seed: u64) -> String {
-    format!("replay: ITESP_TEST_SEED={seed} cargo run --release -p itesp-bench --bin figserve")
-}
-
-fn scratch(tag: &str, seed: u64) -> PathBuf {
-    let d = std::env::temp_dir().join(format!(
-        "itesp-figserve-{tag}-{}-{seed}",
-        std::process::id()
-    ));
-    let _ = fs::remove_dir_all(&d);
-    d
-}
 
 /// The honest workload: a pure function of (seed, tenant, ops), so the
 /// reference and chaos sessions submit identical requests.
@@ -88,7 +76,7 @@ fn tenant_records(seed: u64, tenant: u64, ops: usize) -> Vec<TraceRecord> {
 // SIGKILLs it (and waits) or SIGTERM-drains it via `drain_daemon`;
 // clippy cannot see the `wait()` across the early return.
 #[allow(clippy::zombie_processes)]
-fn spawn_daemon(state_dir: &Path, seed: u64, chaos: Option<&str>) -> (Child, u16, u16) {
+fn spawn_daemon(state_dir: &Path, drill: Drill, chaos: Option<&str>) -> (Child, u16, u16) {
     let exe = std::env::current_exe()
         .expect("own path")
         .with_file_name("itesp-serve");
@@ -96,7 +84,7 @@ fn spawn_daemon(state_dir: &Path, seed: u64, chaos: Option<&str>) -> (Child, u16
         exe.exists(),
         "itesp-serve binary not found at {} — build the workspace first ({})",
         exe.display(),
-        replay(seed)
+        drill
     );
     // Stale ports from a previous daemon on this dir must not be
     // mistaken for the new daemon's.
@@ -122,37 +110,37 @@ fn spawn_daemon(state_dir: &Path, seed: u64, chaos: Option<&str>) -> (Child, u16
         if Instant::now() >= deadline {
             let _ = child.kill();
             let _ = child.wait();
-            panic!("daemon never published ports ({})", replay(seed));
+            panic!("daemon never published ports ({drill})");
         }
         std::thread::sleep(Duration::from_millis(10));
     }
 }
 
 /// SIGTERM-drain a daemon and require a clean exit.
-fn drain_daemon(mut child: Child, seed: u64) {
+fn drain_daemon(mut child: Child, drill: Drill) {
     let status = Command::new("kill")
         .arg("-TERM")
         .arg(child.id().to_string())
         .status()
         .expect("run kill");
-    assert!(status.success(), "kill -TERM failed ({})", replay(seed));
+    assert!(status.success(), "kill -TERM failed ({drill})");
     let code = child.wait().expect("reap daemon");
     assert!(
         code.success(),
-        "drained daemon must exit 0, got {code:?} ({})",
-        replay(seed)
+        "drained daemon must exit 0, got {code:?} ({drill})"
     );
 }
 
 /// Scrape the deterministic per-tenant stats (`T`) from a metrics port.
-fn scrape_tenants(metrics: u16, seed: u64) -> String {
+fn scrape_tenants(metrics: u16, drill: Drill) -> String {
     metrics_command(SocketAddr::from(([127, 0, 0, 1], metrics)), b'T')
-        .unwrap_or_else(|e| panic!("metrics scrape failed: {e} ({})", replay(seed)))
+        .unwrap_or_else(|e| panic!("metrics scrape failed: {e} ({drill})"))
 }
 
 /// Run every honest tenant against the daemon behind `state_dir`,
 /// retrying across Busy rejections and daemon restarts.
-fn run_honest_tenants(state_dir: &Path, seed: u64, ops: usize) -> usize {
+fn run_honest_tenants(state_dir: &Path, drill: Drill, ops: usize) -> usize {
+    let seed = drill.seed;
     let handles: Vec<_> = (1..=TENANTS)
         .map(|tenant| {
             let dir = state_dir.to_path_buf();
@@ -171,7 +159,7 @@ fn run_honest_tenants(state_dir: &Path, seed: u64, ops: usize) -> usize {
     for (tenant, h) in (1..=TENANTS).zip(handles) {
         h.join()
             .expect("tenant thread")
-            .unwrap_or_else(|e| panic!("tenant {tenant} failed: {e} ({})", replay(seed)));
+            .unwrap_or_else(|e| panic!("tenant {tenant} failed: {e} ({drill})"));
         completed += 1;
     }
     completed
@@ -226,22 +214,23 @@ fn main() {
     // Per-tenant trace length: the batch default is a campaign-scale
     // count; each of the 8 tenants runs a slice of it.
     let ops = (ops_from_env() / TENANTS as usize).clamp(200, 50_000);
+    let drill = Drill::new("figserve", seed);
 
     // Stage 1: reference session, no chaos.
     eprintln!("[figserve: reference session, {TENANTS} tenants x {ops} ops, seed {seed}]");
-    let ref_dir = scratch("ref", seed);
-    let (ref_daemon, _, ref_metrics) = spawn_daemon(&ref_dir, seed, None);
-    run_honest_tenants(&ref_dir, seed, ops);
-    let reference = scrape_tenants(ref_metrics, seed);
-    drain_daemon(ref_daemon, seed);
+    let ref_dir = drill.scratch("ref");
+    let (ref_daemon, _, ref_metrics) = spawn_daemon(&ref_dir, drill, None);
+    run_honest_tenants(&ref_dir, drill, ops);
+    let reference = scrape_tenants(ref_metrics, drill);
+    drain_daemon(ref_daemon, drill);
     let _ = fs::remove_dir_all(&ref_dir);
 
     // Stage 2: chaos session — hostile clients, a worker-panic tenant,
     // and a SIGKILL + restart in the middle of honest traffic.
     eprintln!("[figserve: chaos session — hostile clients + SIGKILL + restart]");
-    let chaos_dir = scratch("chaos", seed);
+    let chaos_dir = drill.scratch("chaos");
     let directives = format!("panic-tenant={CURSED_TENANT}");
-    let (mut daemon, _, _) = spawn_daemon(&chaos_dir, seed, Some(&directives));
+    let (mut daemon, _, _) = spawn_daemon(&chaos_dir, drill, Some(&directives));
 
     // One synchronous hostile round first: every misbehavior mode plus
     // the worker panic must land while the daemon is provably alive.
@@ -249,8 +238,7 @@ fn main() {
         chaos_clients(&chaos_dir, seed, ops, 1, &AtomicBool::new(false));
     assert!(
         pre_panics >= 1,
-        "the cursed tenant must observe a typed WorkerPanicked reply ({})",
-        replay(seed)
+        "the cursed tenant must observe a typed WorkerPanicked reply ({drill})"
     );
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -261,60 +249,42 @@ fn main() {
     };
     let honest_handle = {
         let dir = chaos_dir.clone();
-        std::thread::spawn(move || run_honest_tenants(&dir, seed, ops))
+        std::thread::spawn(move || run_honest_tenants(&dir, drill, ops))
     };
 
     // SIGKILL once the daemon has durably snapshotted at least two
     // completions (the WAL head seq counts every commit, even after
     // compaction), then restart it on the same state dir.
     let store = SnapshotStore::open(chaos_dir.join("snaps")).expect("open serve store");
-    let deadline = Instant::now() + Duration::from_secs(600);
-    let killed = loop {
-        let committed = store.wal_head().ok().flatten().map_or(0, |r| r.seq);
-        if committed >= 2 {
-            daemon.kill().expect("SIGKILL daemon");
-            daemon.wait().expect("reap daemon");
-            break true;
-        }
-        if daemon.try_wait().expect("poll daemon").is_some() {
-            panic!("chaos daemon died on its own ({})", replay(seed));
-        }
-        assert!(
-            Instant::now() < deadline,
-            "no snapshots committed before the kill window ({})",
-            replay(seed)
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    };
+    let kill = drill.kill_when(&mut daemon, "two snapshots committed", || {
+        store.wal_head().ok().flatten().map_or(0, |r| r.seq) >= 2
+    });
+    assert_eq!(kill, Kill::Killed, "chaos daemon died on its own ({drill})");
     eprintln!("[figserve: SIGKILL delivered — restarting daemon on the same state dir]");
-    let (daemon, _, chaos_metrics) = spawn_daemon(&chaos_dir, seed, Some(&directives));
+    let (daemon, _, chaos_metrics) = spawn_daemon(&chaos_dir, drill, Some(&directives));
 
     let honest_completed = honest_handle.join().expect("honest client thread");
     stop.store(true, Ordering::Relaxed);
     let (bg_hostile, bg_panics) = chaos_handle.join().expect("chaos client thread");
     let (hostile_runs, cursed_panics) = (pre_hostile + bg_hostile, pre_panics + bg_panics);
 
-    let chaos_scrape = scrape_tenants(chaos_metrics, seed);
+    let chaos_scrape = scrape_tenants(chaos_metrics, drill);
     assert_eq!(
-        chaos_scrape,
-        reference,
-        "chaos-session tenant stats diverged from the reference ({})",
-        replay(seed)
+        chaos_scrape, reference,
+        "chaos-session tenant stats diverged from the reference ({drill})"
     );
-    drain_daemon(daemon, seed);
+    drain_daemon(daemon, drill);
 
     // Stage 3: a fresh daemon recovers the drained state and serves the
     // reference JSON before any new request arrives.
     eprintln!("[figserve: recovery session — restart from the drained state dir]");
-    let (daemon, _, rec_metrics) = spawn_daemon(&chaos_dir, seed, None);
-    let recovered = scrape_tenants(rec_metrics, seed);
+    let (daemon, _, rec_metrics) = spawn_daemon(&chaos_dir, drill, None);
+    let recovered = scrape_tenants(rec_metrics, drill);
     assert_eq!(
-        recovered,
-        reference,
-        "recovered tenant stats diverged from the reference ({})",
-        replay(seed)
+        recovered, reference,
+        "recovered tenant stats diverged from the reference ({drill})"
     );
-    drain_daemon(daemon, seed);
+    drain_daemon(daemon, drill);
     let _ = fs::remove_dir_all(&chaos_dir);
 
     #[derive(serde::Serialize)]
@@ -336,7 +306,7 @@ fn main() {
         honest_completed,
         hostile_runs,
         cursed_panics,
-        sigkill_delivered: killed,
+        sigkill_delivered: true,
         chaos_identical: true,
         recovered_identical: true,
     }];
@@ -356,7 +326,7 @@ fn main() {
             honest_completed.to_string(),
             hostile_runs.to_string(),
             cursed_panics.to_string(),
-            killed.to_string(),
+            "true".to_owned(),
             "yes".to_owned(),
         ]],
     );

@@ -305,7 +305,7 @@ fn write_failure_manifest(results_dir: &std::path::Path, target: &str, failures:
     }
     match serde_json::to_string_pretty(&failures.to_vec()) {
         Ok(json) => {
-            if let Err(e) = crate::checkpoint::write_atomic(&path, &json) {
+            if let Err(e) = itesp_snap::write_atomic(&path, json.as_bytes()) {
                 eprintln!(
                     "[warning: could not write failure manifest {}: {e}]",
                     path.display()

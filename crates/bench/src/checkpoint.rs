@@ -19,42 +19,19 @@
 //! parse → re-serialize round trip byte-exact, which is what lets a
 //! resumed run emit output byte-identical to an uninterrupted one.
 //!
-//! Every update rewrites the whole file to a temp file and atomically
-//! renames it over the old one, so a SIGKILL at any instant leaves
-//! either the previous or the new complete checkpoint, never a
-//! truncated one. Job counts per target are tens, not millions; the
+//! Every update rewrites the whole file with
+//! [`itesp_snap::write_atomic`] (temp file, fsync, rename, directory
+//! fsync), so a SIGKILL at any instant leaves either the previous or
+//! the new complete checkpoint, never a truncated one. Job counts per target are tens, not millions; the
 //! rewrite is cheap.
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Bumped when the file layout changes; mismatched checkpoints are
 /// refused on resume.
 pub const CHECKPOINT_VERSION: u64 = 1;
-
-/// Write `contents` to `path` crash-safely: temp file in the same
-/// directory (same filesystem, so the rename is atomic), fsync'd, then
-/// renamed over the destination, then the parent directory fsync'd.
-/// The rename alone orders the data against the name, but the new
-/// directory entry is not durable until the directory itself reaches
-/// disk — a power cut after rename-without-dir-fsync can resurface the
-/// old file (or nothing) on reboot.
-pub(crate) fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    {
-        let mut file = fs::File::create(&tmp)?;
-        file.write_all(contents.as_bytes())?;
-        file.sync_all()?;
-    }
-    fs::rename(&tmp, path)?;
-    #[cfg(unix)]
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        fs::File::open(dir)?.sync_all()?;
-    }
-    Ok(())
-}
 
 /// The run-shape fingerprint in the header line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -212,7 +189,7 @@ impl Checkpoint {
         if let Some(dir) = self.path.parent() {
             let _ = fs::create_dir_all(dir);
         }
-        if let Err(e) = write_atomic(&self.path, &out) {
+        if let Err(e) = itesp_snap::write_atomic(&self.path, out.as_bytes()) {
             eprintln!(
                 "[warning: could not persist checkpoint {}: {e}]",
                 self.path.display()

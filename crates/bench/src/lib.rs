@@ -12,6 +12,7 @@
 
 pub mod campaign;
 pub mod checkpoint;
+pub mod drill;
 pub mod orchestrate;
 
 pub use campaign::{run_campaign, run_campaign_with, Campaign, CampaignOptions, FailureRecord};
@@ -411,7 +412,7 @@ pub fn save_json<T: Serialize>(name: &str, value: &T) {
     }
     let path = dir.join(format!("{name}.json"));
     match serde_json::to_string_pretty(value) {
-        Ok(s) => match checkpoint::write_atomic(&path, &s) {
+        Ok(s) => match itesp_snap::write_atomic(&path, s.as_bytes()) {
             Ok(()) => {
                 eprintln!("[saved {}]", path.display());
                 clear_checkpoints(&dir, name);

@@ -140,38 +140,6 @@ pub struct AccessOutcome {
     pub case: MissCase,
 }
 
-/// One queued data access, as a drained request queue hands it to
-/// [`SecurityEngine::on_access_batch`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AccessRequest {
-    pub enclave: usize,
-    pub paddr: u64,
-    /// Dense per-enclave block index (see [`SecurityEngine::on_access`]).
-    pub enclave_block: u64,
-    pub is_write: bool,
-}
-
-/// The result of filtering a drained burst: one transaction list for
-/// the whole burst (a single allocation instead of one per request)
-/// plus each request's slice of it and classification.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchOutcome {
-    /// Extra memory transactions for the whole burst, in issue order.
-    pub mem: Vec<MetaAccess>,
-    /// Per-request outcomes, in burst order.
-    pub requests: Vec<RequestOutcome>,
-}
-
-/// One request's share of a [`BatchOutcome`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RequestOutcome {
-    /// This request's transactions are `mem[mem_start..mem_start + mem_len]`.
-    pub mem_start: usize,
-    pub mem_len: usize,
-    pub stall_cycles: u64,
-    pub case: MissCase,
-}
-
 /// Engine configuration, independent of the DRAM model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineConfig {
@@ -516,8 +484,11 @@ impl SecurityEngine {
         )
     }
 
-    /// Which cache partition and block index a data access uses.
-    fn locate(&self, enclave: usize, paddr: u64, enclave_block: u64) -> (usize, u64) {
+    /// Which cache partition and block index a data access uses:
+    /// isolated trees index each enclave's partition by its dense
+    /// per-enclave block, shared trees have one partition indexed by
+    /// `paddr`.
+    pub fn locate(&self, enclave: usize, paddr: u64, enclave_block: u64) -> (usize, u64) {
         if self.spec.isolated {
             (enclave, enclave_block)
         } else {
@@ -535,60 +506,15 @@ impl SecurityEngine {
         enclave_block: u64,
         is_write: bool,
     ) -> AccessOutcome {
-        let mut mem = Vec::new();
-        let (stall, case) = self.access_into(enclave, paddr, enclave_block, is_write, &mut mem);
-        AccessOutcome {
-            mem,
-            stall_cycles: stall,
-            case,
-        }
-    }
-
-    /// Filter a drained burst of queued accesses in one pass, appending
-    /// every request's metadata transactions to a single shared list.
-    /// Per-request results (transaction slice, stall, classification)
-    /// are identical to issuing each request through [`on_access`] in
-    /// burst order — the batcher buys the allocation and dispatch
-    /// savings, not a semantic change.
-    ///
-    /// [`on_access`]: Self::on_access
-    pub fn on_access_batch(&mut self, reqs: &[AccessRequest]) -> BatchOutcome {
-        let mut mem = Vec::new();
-        let mut requests = Vec::with_capacity(reqs.len());
-        for r in reqs {
-            let mem_start = mem.len();
-            let (stall, case) =
-                self.access_into(r.enclave, r.paddr, r.enclave_block, r.is_write, &mut mem);
-            requests.push(RequestOutcome {
-                mem_start,
-                mem_len: mem.len() - mem_start,
-                stall_cycles: stall,
-                case,
-            });
-        }
-        BatchOutcome { mem, requests }
-    }
-
-    /// The body shared by [`Self::on_access`] and
-    /// [`Self::on_access_batch`]: locate the partition, dispatch to the
-    /// scheme model, and fold the outcome into the statistics.
-    fn access_into(
-        &mut self,
-        enclave: usize,
-        paddr: u64,
-        enclave_block: u64,
-        is_write: bool,
-        mem: &mut Vec<MetaAccess>,
-    ) -> (u64, MissCase) {
         if is_write {
             self.stats.data_writes += 1;
         } else {
             self.stats.data_reads += 1;
         }
 
-        let start = mem.len();
+        let mut mem = Vec::new();
         let (part, block) = self.locate(enclave, paddr, enclave_block);
-        let (stall, case) = self.model.access(part, block, is_write, mem);
+        let (stall, case) = self.model.access(part, block, is_write, &mut mem);
 
         if stall > 0 {
             self.stats.overflows += 1;
@@ -596,7 +522,7 @@ impl SecurityEngine {
         }
         self.stats.case_counts[case.index()] += 1;
 
-        for m in &mem[start..] {
+        for m in &mem {
             if m.is_write {
                 self.stats.meta_writes[m.kind.index()] += 1;
             } else {
@@ -604,7 +530,11 @@ impl SecurityEngine {
             }
         }
 
-        (stall, case)
+        AccessOutcome {
+            mem,
+            stall_cycles: stall,
+            case,
+        }
     }
 
     /// Can the embedded-parity design actually embed under the current

@@ -40,8 +40,7 @@ pub mod verify;
 pub use cache::{CacheOutcome, CacheStats, MetaCache, PartitionedCache};
 pub use counters::{OverflowTracker, OVERFLOW_PENALTY_128};
 pub use engine::{
-    AccessOutcome, AccessRequest, BatchOutcome, EngineConfig, EngineStats, MetaAccess, MetaKind,
-    MissCase, RequestOutcome, SecurityEngine,
+    AccessOutcome, EngineConfig, EngineStats, MetaAccess, MetaKind, MissCase, SecurityEngine,
 };
 pub use error::{EngineConfigError, Error};
 pub use mac::{hash_node, mac_block, mac_block_x4, siphash24, siphash24_batch, MacKey};

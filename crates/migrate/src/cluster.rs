@@ -33,8 +33,9 @@ use std::path::Path;
 
 use itesp_core::Scheme;
 use itesp_enclave::PAGE_BLOCKS;
-use itesp_sim::SnapshotSink;
-use itesp_snap::{Persist, SnapError, SnapReader, SnapWriter, SnapshotMeta, StoreError};
+use itesp_snap::{
+    Persist, SnapError, SnapReader, SnapWriter, SnapshotMeta, SnapshotSink, StoreError,
+};
 use itesp_trace::record::page_of;
 use itesp_trace::{MemOp, PAGE_BYTES};
 
@@ -657,7 +658,8 @@ impl Cluster {
         let (_vpage, info) = enc.iter_pages().nth(pick).expect("picked a live page");
         let block = info.leaf * PAGE_BLOCKS;
         let paddr = info.ppage * PAGE_BYTES;
-        let parity = n.engine().recovery_parity_addr(slot, block).is_some();
+        let (part, pblock) = n.engine().locate(slot, paddr, block);
+        let parity = n.engine().recovery_parity_addr(part, pblock).is_some();
         // Correction: demand re-read of the faulted block, then the
         // corrected writeback.
         n.engine_mut().on_access(slot, paddr, block, false);
@@ -756,7 +758,7 @@ impl Cluster {
             return Ok(());
         };
         let result = if force || sink.due(self.tick) {
-            sink.capture_with(self.tick, |w| self.save_state(w))
+            sink.capture(self.tick, &*self)
                 .map(|meta| self.last_seq = Some(meta.seq))
         } else {
             Ok(())
@@ -820,13 +822,21 @@ impl Cluster {
         every: u64,
     ) -> Result<(Self, SnapshotMeta), MigrateError> {
         let sink = SnapshotSink::new(dir.as_ref(), every)?;
-        let (meta, bytes, _skipped) = sink.store().load_latest_good()?;
         let mut cluster = Cluster::new(cfg, workload);
-        let mut r = SnapReader::new(&bytes);
-        cluster.load_state(&mut r)?;
-        r.finish()?;
+        let meta = sink.store().restore_latest(&mut cluster)?;
         cluster.last_seq = sink.store().latest_seq()?;
         cluster.sink = Some(sink);
         Ok((cluster, meta))
+    }
+}
+
+/// A cluster's snapshot is [`Cluster::save_state`]'s bytes.
+impl Persist for Cluster {
+    fn save(&self, w: &mut SnapWriter) {
+        self.save_state(w);
+    }
+
+    fn load(&mut self, r: &mut SnapReader, _what: &'static str) -> Result<(), SnapError> {
+        self.load_state(r)
     }
 }

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use itesp_snap::{SnapError, StoreError};
+use itesp_snap::{RestoreError, SnapError, StoreError};
 
 /// Why a migration step was refused or failed.
 #[derive(Debug)]
@@ -114,5 +114,14 @@ impl From<SnapError> for MigrateError {
 impl From<StoreError> for MigrateError {
     fn from(e: StoreError) -> Self {
         MigrateError::Store(e)
+    }
+}
+
+impl From<RestoreError> for MigrateError {
+    fn from(e: RestoreError) -> Self {
+        match e {
+            RestoreError::Store(e) => MigrateError::Store(e),
+            RestoreError::Decode(e) => MigrateError::Decode(e),
+        }
     }
 }

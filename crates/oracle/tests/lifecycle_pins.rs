@@ -10,7 +10,10 @@
 //! * `serde_json` of `RunResult.churn` for a small churn run under
 //!   Unsecure, Synergy and ITESP;
 //! * `tenants_json()` of a 4-node cluster with scripted hops, a drain,
-//!   the rebalancer and fault injection on, under ITESP and Synergy.
+//!   the rebalancer and fault injection on, under ITESP (3 slots per
+//!   node) and Synergy (1 and 3 slots per node — a shared-tree engine
+//!   has one partition, so a fault on slot 2 must still find its
+//!   parity through `SecurityEngine::locate`).
 //!
 //! `figmigrate.json` carries no per-tenant finals, so these pins are
 //! the only cross-version check of `TenantFinal`. On mismatch the test
@@ -31,6 +34,9 @@ const PINS: &[(&str, u32, usize)] = &[
     ("churn ITESP", 0xdd0b5710, 242),
     ("cluster ITESP 4x3", 0x2aadc957, 3445),
     ("cluster SYNERGY 4x1", 0x919ffed4, 3427),
+    // Per-tenant finals do not depend on placement: 3 slots per node
+    // reproduce the 1-slot run.
+    ("cluster SYNERGY 4x3", 0x919ffed4, 3427),
 ];
 
 fn pin(label: impl Into<String>, bytes: &[u8]) -> (String, u32, usize) {
@@ -99,7 +105,14 @@ fn lifecycle_outputs_match_their_pins() {
     let got: Vec<(String, u32, usize)> = [Scheme::Unsecure, Scheme::Synergy, Scheme::Itesp]
         .into_iter()
         .map(churn_pin)
-        .chain([(Scheme::Itesp, 3), (Scheme::Synergy, 1)].map(|(s, n)| cluster_pin(s, n)))
+        .chain(
+            [
+                (Scheme::Itesp, 3),
+                (Scheme::Synergy, 1),
+                (Scheme::Synergy, 3),
+            ]
+            .map(|(s, n)| cluster_pin(s, n)),
+        )
         .collect();
     let table: String = got
         .iter()

@@ -7,8 +7,10 @@
 //! the anti-rollback contract:
 //!
 //! * **every** stale snapshot — intact bytes, valid CRC — is rejected
-//!   by [`SnapshotStore::verify_fresh`] when restored *as if latest*
-//!   (only deterministic suffix replay may start from old state);
+//!   by [`SnapshotStore::verify_fresh`] when restored *as if latest*,
+//!   and [`SnapshotStore::restore_head`] refuses the stale survivor of
+//!   a withheld head (only deterministic suffix replay may start from
+//!   old state);
 //! * the rejection matters: the oracle exhibits the concrete hazards a
 //!   stale restore would smuggle in — a leaf-id freed after the stale
 //!   snapshot coming back live, and a write counter rewinding — and
@@ -24,7 +26,7 @@ use std::path::PathBuf;
 use itesp_core::{EngineConfig, Scheme, SecurityEngine};
 use itesp_enclave::{EnclaveManager, PAGE_BLOCKS, PAGE_BYTES};
 use itesp_oracle::with_seeds;
-use itesp_snap::{Persist, SnapReader, SnapWriter, SnapshotStore, StoreError};
+use itesp_snap::{decode_into, RestoreError, SnapWriter, SnapshotStore, StoreError};
 
 const SLOTS: usize = 4;
 
@@ -59,16 +61,20 @@ fn commit(store: &SnapshotStore, step: u64, engine: &SecurityEngine, mgr: &Encla
     store.append(step, &w.into_bytes()).unwrap().seq
 }
 
+/// A freshly built (engine, manager) pair to restore into.
+fn fresh_pair(seed: u64) -> (SecurityEngine, EnclaveManager) {
+    (
+        SecurityEngine::new(EngineConfig::paper_default(Scheme::Itesp)),
+        EnclaveManager::new(SLOTS, seed),
+    )
+}
+
 /// Restore a committed state into a freshly built pair.
 fn restore(store: &SnapshotStore, seq: u64, seed: u64) -> (SecurityEngine, EnclaveManager) {
     let (_, payload) = store.load(seq).unwrap();
-    let mut engine = SecurityEngine::new(EngineConfig::paper_default(Scheme::Itesp));
-    let mut mgr = EnclaveManager::new(SLOTS, seed);
-    let mut r = SnapReader::new(&payload);
-    engine.load(&mut r, "engine").unwrap();
-    mgr.load(&mut r, "manager").unwrap();
-    r.finish().unwrap();
-    (engine, mgr)
+    let mut pair = fresh_pair(seed);
+    decode_into(&payload, &mut pair).unwrap();
+    pair
 }
 
 #[test]
@@ -176,6 +182,17 @@ fn stale_snapshots_are_rejected_and_would_resurrect_freed_state() {
                 engine_stale.stats().data_accesses() < engine_head.stats().data_accesses(),
                 "accepting the stale snapshot would rewind engine stats (seed {seed})"
             );
+
+            // Through the strict restore: with the head file withheld,
+            // the surviving stale state is refused, naming the head.
+            fs::remove_file(dir.join(format!("snap-{head_seq:016}.bin"))).unwrap();
+            match store.restore_head(&mut fresh_pair(seed)) {
+                Err(RestoreError::Store(StoreError::RollbackDetected {
+                    snapshot_seq,
+                    wal_seq,
+                })) => assert_eq!((snapshot_seq, wal_seq), (mid_seq, head_seq)),
+                other => panic!("withheld head must be detected, got {other:?} (seed {seed})"),
+            }
             let _ = fs::remove_dir_all(&dir);
         },
     );

@@ -17,7 +17,7 @@
 //! table of observed values. [`BUMPS`] lists every bumped section, and
 //! each must refuse bytes at its old version with `SnapError::Version`.
 
-use itesp_core::{AccessRequest, EngineConfig, Scheme, SecurityEngine};
+use itesp_core::{EngineConfig, Scheme, SecurityEngine};
 use itesp_dram::{DramConfig, MemorySystem};
 use itesp_enclave::EnclaveManager;
 use itesp_migrate::{Cluster, ClusterConfig, ClusterWorkload, Residence, TenantLedger};
@@ -59,6 +59,15 @@ const PINS: &[(&str, u32, usize)] = &[
 
 fn pin(label: impl Into<String>, bytes: &[u8]) -> (String, u32, usize) {
     (label.into(), crc32(bytes), bytes.len())
+}
+
+/// One data access of a generated stream.
+#[derive(Debug, Clone, Copy)]
+struct AccessRequest {
+    enclave: usize,
+    paddr: u64,
+    enclave_block: u64,
+    is_write: bool,
 }
 
 /// Locality-shaped stream (bursts inside hot leaves, rare cold

@@ -13,7 +13,7 @@
 //! cache paths are genuinely warm at the snapshot point; seeds are
 //! replayable via `ITESP_TEST_SEED`.
 
-use itesp_core::{AccessRequest, EngineConfig, Scheme, SecurityEngine};
+use itesp_core::{EngineConfig, Scheme, SecurityEngine};
 use itesp_oracle::with_seeds;
 use itesp_snap::{Persist, SnapReader, SnapWriter};
 use rand::rngs::StdRng;
@@ -22,6 +22,15 @@ use rand::{Rng, SeedableRng};
 const ACCESSES: usize = 2_000;
 const HOT_LEAVES: u64 = 48;
 const BLOCKS_PER_LEAF: u64 = 64;
+
+/// One data access of a generated stream.
+#[derive(Debug, Clone, Copy)]
+struct AccessRequest {
+    enclave: usize,
+    paddr: u64,
+    enclave_block: u64,
+    is_write: bool,
+}
 
 /// Locality-shaped random stream (bursts inside hot leaves, occasional
 /// cold excursions) — same shape as the engine-equivalence oracle.

@@ -14,23 +14,24 @@
 //!   on timing and injected faults), so they are reported separately
 //!   and excluded from the identity comparison.
 //!
-//! Snapshots use the [`itesp_snap`] wire format and store: the drain
-//! path appends the encoded registry to the snapshot/WAL store, and a
-//! restarted daemon recovers via `load_latest_good` + `verify_fresh`
-//! — the same crash-safety and anti-rollback machinery the simulator's
-//! checkpoints use.
+//! Snapshots go through [`itesp_snap`]'s one commit and restore path:
+//! the tenants section is a [`Persist`] type (`SRVT`), the drain path
+//! commits it with [`SnapshotStore::commit`], and a restarted daemon
+//! recovers with [`SnapshotStore::restore_head`] — the same
+//! crash-safety and anti-rollback machinery the simulator's and the
+//! cluster's checkpoints use.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use itesp_snap::{SnapError, SnapReader, SnapWriter, SnapshotMeta, SnapshotStore, StoreError};
+use itesp_snap::{
+    Persist, RestoreError, SnapError, SnapReader, SnapWriter, SnapshotMeta, SnapshotStore,
+    StoreError,
+};
 use serde::Serialize;
 
 use crate::tenant::TenantStats;
-
-/// Snapshot files retained by the daemon's store.
-pub const KEEP_SNAPSHOTS: usize = 4;
 
 /// Operational (non-deterministic) counters. Plain totals, reported
 /// under the `"counters"` key of the full stats view.
@@ -60,11 +61,32 @@ struct Counters {
     recovered_seq: AtomicU64,
 }
 
+/// The latest stats per tenant, keyed by tenant id. Its snapshot
+/// (`SRVT`) is the stats in tenant-id order; each record carries its
+/// own id.
+#[derive(Debug, Default)]
+struct Tenants(BTreeMap<u64, TenantStats>);
+
+impl Persist for Tenants {
+    fn save(&self, w: &mut SnapWriter) {
+        w.section("SRVT", 1);
+        w.usize(self.0.len());
+        self.0.values().for_each(|t| w.put(t));
+    }
+
+    fn load(&mut self, r: &mut SnapReader, _what: &'static str) -> Result<(), SnapError> {
+        r.section("SRVT", 1)?;
+        let tenants: Vec<TenantStats> = r.get("registry tenants")?;
+        self.0 = tenants.into_iter().map(|t| (t.tenant, t)).collect();
+        Ok(())
+    }
+}
+
 /// The daemon's shared stats registry. Cheap to lock: completions are
 /// per-request, not per-record.
 #[derive(Debug, Default)]
 pub struct Registry {
-    tenants: Mutex<BTreeMap<u64, TenantStats>>,
+    tenants: Mutex<Tenants>,
     counters: Counters,
 }
 
@@ -78,7 +100,7 @@ impl Registry {
     /// overwrites a fresher result, and re-completing the same seq
     /// overwrites with identical bytes.
     pub fn complete(&self, stats: TenantStats) {
-        let mut tenants = self.tenants.lock().expect("registry lock");
+        let tenants = &mut self.tenants.lock().expect("registry lock").0;
         let fresh = tenants
             .get(&stats.tenant)
             .is_none_or(|prev| stats.request_seq >= prev.request_seq);
@@ -133,7 +155,7 @@ impl Registry {
     /// chaos, given the same completed request set.
     pub fn deterministic_json(&self) -> String {
         let tenants = self.tenants.lock().expect("registry lock");
-        serde_json::to_string_pretty(&*tenants).expect("tenant stats serialize")
+        serde_json::to_string_pretty(&tenants.0).expect("tenant stats serialize")
     }
 
     /// Everything: tenants plus operational counters. (Spliced by
@@ -146,15 +168,9 @@ impl Registry {
         format!("{{\n  \"tenants\": {tenants},\n  \"counters\": {counters}\n}}")
     }
 
-    /// Encode the registry into the snapshot wire format: the tenants'
-    /// stats in tenant-id order (each record carries its own id).
+    /// Encode the registry's tenants section (`SRVT`).
     pub fn encode(&self) -> Vec<u8> {
-        let tenants = self.tenants.lock().expect("registry lock");
-        let mut w = SnapWriter::new();
-        w.section("SRVT", 1);
-        w.usize(tenants.len());
-        tenants.values().for_each(|t| w.put(t));
-        w.into_bytes()
+        itesp_snap::encode(&*self.tenants.lock().expect("registry lock"))
     }
 
     /// Replace this registry's tenants with a decoded snapshot payload.
@@ -162,49 +178,47 @@ impl Registry {
     /// # Errors
     /// [`SnapError`] on a corrupt or version-skewed payload.
     pub fn restore(&self, payload: &[u8]) -> Result<(), SnapError> {
-        let mut r = SnapReader::new(payload);
-        r.section("SRVT", 1)?;
-        let tenants: Vec<TenantStats> = r.get("registry tenants")?;
-        r.finish()?;
-        let fresh = tenants.into_iter().map(|t| (t.tenant, t)).collect();
+        let mut fresh = Tenants::default();
+        itesp_snap::decode_into(payload, &mut fresh)?;
         *self.tenants.lock().expect("registry lock") = fresh;
         Ok(())
     }
 
     /// Durably snapshot the registry (the drain path, and every
-    /// `snap_every` completions), pruning to [`KEEP_SNAPSHOTS`].
+    /// `snap_every` completions). The tenants are encoded under the
+    /// lock; the commit's fsyncs run after it is released.
     ///
     /// # Errors
     /// [`StoreError`] from the underlying store.
     pub fn snapshot_to(&self, store: &SnapshotStore) -> Result<SnapshotMeta, StoreError> {
-        let meta = store.append(self.completed(), &self.encode())?;
-        store.prune(KEEP_SNAPSHOTS)?;
+        let meta = store.commit(self.completed(), &self.encode())?;
         self.counters.snapshots.fetch_add(1, Ordering::Relaxed);
         Ok(meta)
     }
 
-    /// Recover from the freshest valid snapshot, enforcing
-    /// anti-rollback against the WAL head. An empty store is a clean
-    /// first boot, not an error.
+    /// Recover from the WAL head, refusing a stale snapshot
+    /// (anti-rollback). An empty store is a clean first boot, not an
+    /// error.
     ///
     /// # Errors
-    /// [`StoreError`] for a corrupt store or a rollback attempt.
-    pub fn recover_from(&self, store: &SnapshotStore) -> Result<Option<SnapshotMeta>, StoreError> {
-        match store.load_latest_good() {
-            Ok((meta, payload, _skipped)) => {
-                store.verify_fresh(meta.seq)?;
-                self.restore(&payload).map_err(|e| StoreError::Torn {
-                    path: store.dir().to_path_buf(),
-                    detail: format!("registry payload: {e}"),
-                })?;
-                self.counters
-                    .recovered_seq
-                    .store(meta.seq, Ordering::Relaxed);
-                Ok(Some(meta))
-            }
-            Err(StoreError::NoSnapshot { .. }) => Ok(None),
-            Err(e) => Err(e),
-        }
+    /// [`RestoreError::Store`] for a corrupt store or a rollback
+    /// attempt, [`RestoreError::Decode`] for a payload that is not a
+    /// registry.
+    pub fn recover_from(
+        &self,
+        store: &SnapshotStore,
+    ) -> Result<Option<SnapshotMeta>, RestoreError> {
+        let mut fresh = Tenants::default();
+        let meta = match store.restore_head(&mut fresh) {
+            Ok(meta) => meta,
+            Err(RestoreError::Store(StoreError::NoSnapshot { .. })) => return Ok(None),
+            Err(e) => return Err(e),
+        };
+        *self.tenants.lock().expect("registry lock") = fresh;
+        self.counters
+            .recovered_seq
+            .store(meta.seq, Ordering::Relaxed);
+        Ok(Some(meta))
     }
 }
 
@@ -285,7 +299,35 @@ mod tests {
         // present the stale survivor as the latest state.
         std::fs::remove_file(dir.join(format!("snap-{:016}.bin", 2u64))).unwrap();
         let err = Registry::new().recover_from(&store).unwrap_err();
-        assert!(matches!(err, StoreError::RollbackDetected { .. }), "{err}");
+        assert!(
+            matches!(
+                err,
+                RestoreError::Store(StoreError::RollbackDetected { wal_seq: 2, .. })
+            ),
+            "{err}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corrupt_payload_in_the_store_is_a_typed_decode_error() {
+        let dir = std::env::temp_dir().join(format!("itesp-serve-regbad-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = SnapshotStore::open(&dir).unwrap();
+        let reg = Registry::new();
+        reg.complete(stats(1, 1, 100));
+        let mut bytes = reg.encode();
+        bytes.truncate(bytes.len() - 3);
+        // A frame-valid file (its CRC covers the damaged payload), so
+        // the store accepts it and the registry decode must refuse it.
+        store.append(1, &bytes).unwrap();
+
+        let fresh = Registry::new();
+        match fresh.recover_from(&store) {
+            Err(RestoreError::Decode(SnapError::Truncated { .. })) => {}
+            other => panic!("expected a typed decode error, got {other:?}"),
+        }
+        assert_eq!(fresh.deterministic_json(), "{}", "nothing was restored");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

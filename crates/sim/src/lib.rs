@@ -11,6 +11,8 @@
 //!   tree growth, page frees, and secure teardown under churn;
 //! * [`ras`] — the online RAS pipeline: fault injection, correction
 //!   traffic, patrol scrub, and page retirement;
+//! * [`recovery`] — crash restore, on [`itesp_snap`]'s commit and
+//!   restore path;
 //! * [`stats`] — run results and normalized metrics;
 //! * [`experiments`] — canned parameter sets for every figure;
 //! * [`covert`] — the Figure 5 covert-channel demonstration.
@@ -39,9 +41,6 @@ pub use experiments::{
     run_workload_ras, try_run_named, ExperimentParams,
 };
 pub use ras::{Drill, RasConfig, RasError, RasStats};
-pub use recovery::{
-    recover_system, recover_system_strict, RecoverError, SnapshotConfig, SnapshotSink,
-    DEFAULT_SNAPSHOT_EVERY,
-};
+pub use recovery::{recover_system, RestoreError, SnapshotSink};
 pub use stats::RunResult;
 pub use system::{System, SystemConfig, CPU_PER_DRAM_CYCLE};

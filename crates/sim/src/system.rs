@@ -14,12 +14,11 @@ use std::collections::{HashMap, VecDeque};
 
 use itesp_core::{EngineConfig, MetaAccess, SecurityEngine};
 use itesp_dram::{Completion, DramConfig, IssuedCommand, MemorySystem, RequestId};
-use itesp_snap::{Persist, SnapError, SnapReader, SnapWriter};
+use itesp_snap::{Persist, SnapError, SnapReader, SnapWriter, SnapshotSink};
 use itesp_trace::{ChurnWorkload, MemOp, MultiProgram, PhysRecord, PAGE_BYTES};
 
 use crate::churn::ChurnDriver;
 use crate::ras::{RasConfig, RasEngine, RasError, RasStats, ReadCheck};
-use crate::recovery::SnapshotSink;
 use crate::stats::RunResult;
 
 /// CPU cycles per DRAM bus cycle (3.2 GHz core, 800 MHz DDR3 bus).
@@ -388,7 +387,7 @@ impl System {
                 .is_some_and(|s| s.due(self.cycle) && self.cycle.is_multiple_of(CPU_PER_DRAM_CYCLE))
             {
                 let mut sink = self.snap.take().expect("checked above");
-                sink.capture(self)
+                sink.capture(self.cycle, &*self)
                     .unwrap_or_else(|e| panic!("snapshot capture failed: {e}"));
                 self.snap = Some(sink);
             }
@@ -529,11 +528,7 @@ impl System {
         let Some(mut ras) = self.ras.take() else {
             return;
         };
-        let loc = if self.isolated {
-            (ci, eb)
-        } else {
-            (0, paddr / 64)
-        };
+        let loc = self.engine.locate(ci, paddr, eb);
         self.ras_loc.insert(daddr & !63, loc);
         ras.on_data_access(daddr, is_write);
         if !is_write {
@@ -1163,7 +1158,7 @@ impl System {
     /// verbatim for churn runs (sessions swap traces at admission);
     /// static traces are construction inputs and only length-checked.
     ///
-    /// Hand-written, like [`Self::load_state`]: which optional layers
+    /// Hand-written, like its `Persist::load`: which optional layers
     /// are present, the core count and static trace lengths are checked
     /// against the constructed system, and the parking counters are
     /// re-derived rather than stored.
@@ -1200,10 +1195,51 @@ impl System {
         w.put(&self.parked);
     }
 
-    /// Restore from [`Self::save_state`] bytes into a system freshly
+    fn finish_run(mut self) -> RunResult {
+        // Drain dirty metadata state so its write traffic is accounted.
+        let leftovers = self.engine.drain();
+        let extra_writes = leftovers.len() as u64;
+
+        let ras = match self.ras.as_mut() {
+            Some(r) => {
+                r.finalize_stats();
+                r.stats.clone()
+            }
+            None => RasStats::default(),
+        };
+
+        let churn = self
+            .churn
+            .as_ref()
+            .map_or_else(Default::default, ChurnDriver::stats);
+
+        let finishes: Vec<u64> = self
+            .cores
+            .iter()
+            .map(|c| c.finish.unwrap_or(self.cycle))
+            .collect();
+        RunResult::collect(
+            self.cycle,
+            finishes,
+            &self.engine,
+            &self.mem,
+            extra_writes,
+            ras,
+            churn,
+        )
+    }
+}
+
+/// A system's snapshot: [`System::save_state`]'s bytes.
+impl Persist for System {
+    fn save(&self, w: &mut SnapWriter) {
+        self.save_state(w);
+    }
+
+    /// Restore from [`System::save_state`] bytes into a system freshly
     /// built with the same configuration and workload. After this the
     /// run continues deterministically from the captured cycle.
-    pub fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+    fn load(&mut self, r: &mut SnapReader, _what: &'static str) -> Result<(), SnapError> {
         let shape_error = |what, at| Err(SnapError::Corrupt { what, at });
         r.section("SYST", 1)?;
         self.cycle.load(r, "system cycle")?;
@@ -1244,40 +1280,6 @@ impl System {
         self.nparked = self.parked.iter().filter(|&&p| p).count();
         self.comp_buf.clear();
         Ok(())
-    }
-
-    fn finish_run(mut self) -> RunResult {
-        // Drain dirty metadata state so its write traffic is accounted.
-        let leftovers = self.engine.drain();
-        let extra_writes = leftovers.len() as u64;
-
-        let ras = match self.ras.as_mut() {
-            Some(r) => {
-                r.finalize_stats();
-                r.stats.clone()
-            }
-            None => RasStats::default(),
-        };
-
-        let churn = self
-            .churn
-            .as_ref()
-            .map_or_else(Default::default, ChurnDriver::stats);
-
-        let finishes: Vec<u64> = self
-            .cores
-            .iter()
-            .map(|c| c.finish.unwrap_or(self.cycle))
-            .collect();
-        RunResult::collect(
-            self.cycle,
-            finishes,
-            &self.engine,
-            &self.mem,
-            extra_writes,
-            ras,
-            churn,
-        )
     }
 }
 

@@ -7,9 +7,9 @@
 use std::fs;
 
 use itesp_core::Scheme;
-use itesp_sim::recovery::{recover_system, recover_system_strict, RecoverError, SnapshotSink};
+use itesp_sim::recovery::{recover_system, RestoreError, SnapshotSink};
 use itesp_sim::{build_churn_ras_system, ExperimentParams, RasConfig, RunResult, System};
-use itesp_snap::{SnapReader, SnapshotStore, StoreError};
+use itesp_snap::{decode_into, SnapshotStore, StoreError};
 use itesp_trace::{benchmark, ChurnConfig, ChurnWorkload};
 
 fn seed() -> u64 {
@@ -95,10 +95,8 @@ fn every_snapshot_resumes_to_the_identical_final_result() {
         };
         assert_eq!(meta.seq, rec.seq);
         let mut sys = build(seed);
-        let mut r = SnapReader::new(&payload);
-        sys.load_state(&mut r)
+        decode_into(&payload, &mut sys)
             .unwrap_or_else(|e| panic!("snapshot {} failed to decode (seed {seed}): {e}", rec.seq));
-        r.finish().unwrap();
         assert_eq!(sys.cycle(), rec.cycle, "WAL cycle mismatch");
         let resumed = fp(&sys.try_run().unwrap());
         assert_eq!(
@@ -147,8 +145,8 @@ fn recovery_skips_a_torn_snapshot_and_uses_the_last_good_one() {
     // Strict (as-if-latest) restore of the same stale state is a
     // detected rollback: the WAL proves fresher state existed.
     let mut sys = build(seed);
-    match recover_system_strict(&mut sys, &dir) {
-        Err(RecoverError::Store(StoreError::RollbackDetected {
+    match store.restore_head(&mut sys) {
+        Err(RestoreError::Store(StoreError::RollbackDetected {
             snapshot_seq,
             wal_seq,
         })) => {
@@ -180,7 +178,7 @@ fn snapshots_from_a_different_configuration_are_rejected() {
         RasConfig::new(seed ^ 0xFA17).with_fault_rate(20.0),
     );
     match recover_system(&mut other, &dir) {
-        Err(RecoverError::Decode(e)) => {
+        Err(RestoreError::Decode(e)) => {
             let msg = e.to_string();
             assert!(
                 msg.contains("fingerprint") || msg.contains("configuration"),

@@ -22,6 +22,14 @@
 //!   presenting a stale snapshot as the latest state is detected, so
 //!   no counter can rewind and no freed leaf-id can come back live
 //!   without the deterministic suffix replay that re-derives them.
+//!   [`write_atomic`] is the workspace's one temp → fsync → rename →
+//!   directory-fsync sequence.
+//! * [`checkpoint`] — the one commit and restore path for [`Persist`]
+//!   state: [`SnapshotStore::commit`] (with the single
+//!   [`KEEP_SNAPSHOTS`] retention), the [`SnapshotSink`] cadence, the
+//!   latest-good and strict-head restore pair, and their typed
+//!   [`RestoreError`]. The simulator, the migrate cluster and the serve
+//!   registry all checkpoint through it.
 //!
 //! This crate depends only on its own derive macro, so the DRAM model
 //! (the workspace's bottom crate) and the oracle harness can both use
@@ -31,13 +39,15 @@
 // crate's own tests.
 extern crate self as itesp_snap;
 
+pub mod checkpoint;
 pub mod crc;
 pub mod persist;
 pub mod store;
 pub mod wire;
 
+pub use checkpoint::{decode_into, encode, RestoreError, SnapshotSink, KEEP_SNAPSHOTS};
 pub use crc::crc32;
 pub use itesp_snap_derive::Persist;
 pub use persist::Persist;
-pub use store::{SnapshotMeta, SnapshotStore, StoreError, WalRecord};
+pub use store::{write_atomic, SnapshotMeta, SnapshotStore, StoreError, WalRecord};
 pub use wire::{SnapError, SnapReader, SnapWriter};

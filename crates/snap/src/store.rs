@@ -7,9 +7,10 @@
 //! * `snap-<seq>.bin` — one file per snapshot:
 //!   `b"ITSN" | version:u16 | seq:u64 | cycle:u64 | payload_len:u64 |
 //!   payload | crc32:u32` (all little-endian; the CRC covers every
-//!   byte before it). Written to a temp file, `sync_all`'d, renamed
-//!   into place, then the **directory** is fsync'd — the rename is not
-//!   durable until the directory metadata is.
+//!   byte before it). Written with [`write_atomic`]: a temp file,
+//!   `sync_all`'d, renamed into place, then the **directory** is
+//!   fsync'd — the rename is not durable until the directory metadata
+//!   is.
 //! * `wal.log` — an append-only log of fixed 24-byte records
 //!   (`b"ITWL" | seq:u64 | cycle:u64 | crc32:u32` over the first 20
 //!   bytes), one appended after each snapshot commit and fsync'd. The
@@ -179,32 +180,16 @@ impl SnapshotStore {
         let crc = crc32(&framed);
         framed.extend_from_slice(&crc.to_le_bytes());
 
-        let final_path = self.snap_path(seq);
-        let tmp_path = self
-            .dir
-            .join(format!("snap-{seq:016}.tmp.{}", std::process::id()));
-        {
-            let mut f = File::create(&tmp_path)?;
-            f.write_all(&framed)?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp_path, &final_path)?;
-        sync_dir(&self.dir)?;
+        write_atomic(&self.snap_path(seq), &framed)?;
 
         // Only after the snapshot is durable does the WAL acknowledge
         // it; a crash between rename and append leaves an orphan file
         // newer than the head, which recovery treats as uncommitted.
-        let mut rec = Vec::with_capacity(WAL_RECORD);
-        rec.extend_from_slice(WAL_MAGIC);
-        rec.extend_from_slice(&seq.to_le_bytes());
-        rec.extend_from_slice(&cycle.to_le_bytes());
-        let rcrc = crc32(&rec);
-        rec.extend_from_slice(&rcrc.to_le_bytes());
         let mut wal = OpenOptions::new()
             .create(true)
             .append(true)
             .open(self.wal_path())?;
-        wal.write_all(&rec)?;
+        wal.write_all(&encode_wal_record(WalRecord { seq, cycle }))?;
         wal.sync_all()?;
 
         Ok(SnapshotMeta { seq, cycle })
@@ -380,9 +365,8 @@ impl SnapshotStore {
     /// `wal.log` stays bounded on a long-running daemon instead of
     /// growing one record per snapshot forever.
     ///
-    /// The compacted log is written to a temp file, fsync'd, renamed
-    /// over `wal.log`, and the directory fsync'd — a crash at any point
-    /// leaves either the old or the new log, both valid. The record
+    /// The compacted log is written with [`write_atomic`] — a crash at
+    /// any point leaves either the old or the new log, both valid. The record
     /// format is unchanged, so torn-tail detection and repair work
     /// exactly as before; sequence numbers simply no longer start at 1.
     pub fn prune(&self, keep: usize) -> Result<(), StoreError> {
@@ -403,27 +387,24 @@ impl SnapshotStore {
         // less than the head. Acknowledgements for snapshots that no
         // longer exist serve no recovery purpose — freshness only ever
         // compares against the head, which survives by construction.
-        let retained = &records[records.len() - keep.max(1)..];
-        let mut body = Vec::with_capacity(retained.len() * WAL_RECORD);
-        for rec in retained {
-            let mut raw = Vec::with_capacity(WAL_RECORD);
-            raw.extend_from_slice(WAL_MAGIC);
-            raw.extend_from_slice(&rec.seq.to_le_bytes());
-            raw.extend_from_slice(&rec.cycle.to_le_bytes());
-            let crc = crc32(&raw);
-            raw.extend_from_slice(&crc.to_le_bytes());
-            body.extend_from_slice(&raw);
-        }
-        let tmp = self.dir.join(format!("wal.tmp.{}", std::process::id()));
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&body)?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, self.wal_path())?;
-        sync_dir(&self.dir)?;
+        let body: Vec<u8> = records[records.len() - keep.max(1)..]
+            .iter()
+            .flat_map(|&rec| encode_wal_record(rec))
+            .collect();
+        write_atomic(&self.wal_path(), &body)?;
         Ok(())
     }
+}
+
+/// One 24-byte WAL record: magic, seq, cycle, and the CRC over them.
+fn encode_wal_record(rec: WalRecord) -> [u8; WAL_RECORD] {
+    let mut raw = [0u8; WAL_RECORD];
+    raw[..4].copy_from_slice(WAL_MAGIC);
+    raw[4..12].copy_from_slice(&rec.seq.to_le_bytes());
+    raw[12..20].copy_from_slice(&rec.cycle.to_le_bytes());
+    let crc = crc32(&raw[..WAL_RECORD - 4]);
+    raw[WAL_RECORD - 4..].copy_from_slice(&crc.to_le_bytes());
+    raw
 }
 
 /// Validate one 24-byte WAL record (magic + CRC) and decode it.
@@ -438,6 +419,35 @@ fn parse_wal_record(rec: &[u8]) -> Option<WalRecord> {
         seq: u64::from_le_bytes(rec[4..12].try_into().unwrap()),
         cycle: u64::from_le_bytes(rec[12..20].try_into().unwrap()),
     })
+}
+
+/// Replace `path` with `bytes` crash-safely: write a temp file beside
+/// it (same filesystem, so the rename is atomic), fsync it, rename it
+/// over `path`, then fsync the directory — the new name is not durable
+/// until the directory metadata is. A crash at any point leaves either
+/// the old file or the new one, never a torn mix; a crash before the
+/// rename leaves a `<name>.tmp.<pid>` file that nothing reads and the
+/// next write to the same path from the same process overwrites.
+///
+/// This is the one temp → fsync → rename → directory-fsync sequence in
+/// the workspace: snapshot files, WAL compaction and the bench
+/// harness's result files and checkpoints all go through it.
+///
+/// # Errors
+/// The first failing I/O step. An fsync failure is returned, never
+/// retried: the data it covered cannot be trusted afterwards.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".tmp.{}", std::process::id()));
+    let tmp = PathBuf::from(tmp);
+    {
+        let mut f = File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+    }
+    fs::rename(&tmp, path)?;
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    sync_dir(dir.unwrap_or(Path::new(".")))
 }
 
 /// fsync a directory so a rename inside it is durable. On platforms
