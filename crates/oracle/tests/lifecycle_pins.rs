@@ -1,4 +1,5 @@
-//! Byte pins for the per-tenant lifecycle outputs.
+//! Byte pins for the per-tenant lifecycle outputs and for whole runs
+//! under the simulator's drivers.
 //!
 //! Two drivers turn an enclave's lifecycle into a result: the timing
 //! simulator's churn driver (`RunResult.churn`) and the migrating
@@ -15,15 +16,27 @@
 //!   has one partition, so a fault on slot 2 must still find its
 //!   parity through `SecurityEngine::locate`).
 //!
+//! * `serde_json` of the whole `RunResult` — cycles, per-core finish
+//!   times, engine, DRAM, RAS and lifecycle counts — for runs with a
+//!   driver attached: the three churn runs above, a churn run with the
+//!   online RAS pipeline's Poisson faults on (ITESP), and a static
+//!   4-core `mcf` run with Poisson faults plus one chip-kill drill
+//!   (ITESP and Synergy). These pin the simulator's stepping fast paths
+//!   (event skip, core parking, bulk advance) under the RAS and churn
+//!   hooks, which the figures only check for invariants.
+//!
 //! `figmigrate.json` carries no per-tenant finals, so these pins are
 //! the only cross-version check of `TenantFinal`. On mismatch the test
 //! prints the full table of observed values.
 
 use itesp_core::Scheme;
 use itesp_migrate::{Cluster, ClusterConfig, ClusterWorkload};
-use itesp_sim::{run_workload_churn, ExperimentParams};
+use itesp_sim::{
+    build_churn_ras_system, run_workload_churn, run_workload_ras, Drill, ExperimentParams,
+    RasConfig, RunResult,
+};
 use itesp_snap::crc32;
-use itesp_trace::{benchmark, ChurnConfig, ChurnWorkload};
+use itesp_trace::{benchmark, ChurnConfig, ChurnWorkload, MultiProgram};
 
 const SEED: u64 = 0x5EED_0013;
 
@@ -37,14 +50,27 @@ const PINS: &[(&str, u32, usize)] = &[
     // Per-tenant finals do not depend on placement: 3 slots per node
     // reproduce the 1-slot run.
     ("cluster SYNERGY 4x3", 0x919ffed4, 3427),
+    ("run churn UNSECURE", 0x9dfb93f7, 1413),
+    ("run churn SYNERGY", 0x31c6f8ba, 1424),
+    ("run churn ITESP", 0x10d3240f, 1430),
+    ("run churn+RAS ITESP", 0x7ee51b41, 1427),
+    ("run static RAS ITESP", 0x0842cf9a, 1488),
+    ("run static RAS SYNERGY", 0xc400a472, 1495),
 ];
 
 fn pin(label: impl Into<String>, bytes: &[u8]) -> (String, u32, usize) {
     (label.into(), crc32(bytes), bytes.len())
 }
 
-fn churn_pin(scheme: Scheme) -> (String, u32, usize) {
-    let workload = ChurnWorkload::generate(
+fn run_pin(label: &str, r: &RunResult) -> (String, u32, usize) {
+    pin(
+        format!("run {label}"),
+        serde_json::to_string(r).unwrap().as_bytes(),
+    )
+}
+
+fn churn_workload() -> ChurnWorkload {
+    ChurnWorkload::generate(
         benchmark("mcf").unwrap(),
         &ChurnConfig {
             slots: 4,
@@ -55,14 +81,48 @@ fn churn_pin(scheme: Scheme) -> (String, u32, usize) {
             free_fraction: 0.4,
             seed: SEED,
         },
-    );
-    let params = ExperimentParams {
+    )
+}
+
+fn churn_params(scheme: Scheme) -> ExperimentParams {
+    ExperimentParams {
         seed: SEED,
         ..ExperimentParams::paper_4core(scheme, 400)
-    };
-    let r = run_workload_churn(&workload, params);
+    }
+}
+
+/// The churn run's lifecycle counts, then the whole run.
+fn churn_pins(scheme: Scheme) -> [(String, u32, usize); 2] {
+    let r = run_workload_churn(&churn_workload(), churn_params(scheme));
     let json = serde_json::to_string(&r.churn).unwrap();
-    pin(format!("churn {}", scheme.label()), json.as_bytes())
+    [
+        pin(format!("churn {}", scheme.label()), json.as_bytes()),
+        run_pin(&format!("churn {}", scheme.label()), &r),
+    ]
+}
+
+/// Churn with the RAS pipeline's Poisson faults on, built like the
+/// `SYST` snapshot pin's system.
+fn churn_ras_pin() -> (String, u32, usize) {
+    let ras = RasConfig::new(SEED ^ 0xFA17).with_fault_rate(20.0);
+    let sys = build_churn_ras_system(&churn_workload(), churn_params(Scheme::Itesp), ras);
+    run_pin("churn+RAS ITESP", &sys.try_run().unwrap())
+}
+
+/// A static 4-core `mcf` run with Poisson faults and one chip kill.
+fn static_ras_pin(scheme: Scheme) -> (String, u32, usize) {
+    let mp = MultiProgram::homogeneous(benchmark("mcf").unwrap(), 4, 1_000, SEED);
+    let ras = RasConfig::new(SEED ^ 0xC41F)
+        .with_fault_rate(20.0)
+        .with_drill(Drill {
+            at_dram_cycle: 2_000,
+            channel: 0,
+            rank: 1,
+            chip: 3,
+        });
+    let r = run_workload_ras(&mp, ExperimentParams::paper_4core(scheme, 1_000), ras).unwrap();
+    assert_eq!(r.ras.drills_executed, 1, "the chip kill fires");
+    run_pin(&format!("static RAS {}", scheme.label()), &r)
 }
 
 fn cluster_pin(scheme: Scheme, slots_per_node: usize) -> (String, u32, usize) {
@@ -102,9 +162,13 @@ fn cluster_pin(scheme: Scheme, slots_per_node: usize) -> (String, u32, usize) {
 
 #[test]
 fn lifecycle_outputs_match_their_pins() {
-    let got: Vec<(String, u32, usize)> = [Scheme::Unsecure, Scheme::Synergy, Scheme::Itesp]
+    let churn: Vec<[(String, u32, usize); 2]> = [Scheme::Unsecure, Scheme::Synergy, Scheme::Itesp]
         .into_iter()
-        .map(churn_pin)
+        .map(churn_pins)
+        .collect();
+    let got: Vec<(String, u32, usize)> = churn
+        .iter()
+        .map(|[lifecycle, _]| lifecycle.clone())
         .chain(
             [
                 (Scheme::Itesp, 3),
@@ -113,6 +177,9 @@ fn lifecycle_outputs_match_their_pins() {
             ]
             .map(|(s, n)| cluster_pin(s, n)),
         )
+        .chain(churn.iter().map(|[_, run]| run.clone()))
+        .chain([churn_ras_pin()])
+        .chain([Scheme::Itesp, Scheme::Synergy].map(static_ras_pin))
         .collect();
     let table: String = got
         .iter()
