@@ -403,12 +403,8 @@ impl RasEngine {
     }
 
     /// The next DRAM cycle at which the fault process or scrubber needs
-    /// the clock (bounds fast-forward jumps). `u64::MAX` once the
-    /// workload is done — the pipeline winds down so the run can drain.
-    pub(crate) fn next_event(&self, cores_done: bool) -> u64 {
-        if cores_done {
-            return u64::MAX;
-        }
+    /// the clock (bounds the run loop's clock jumps).
+    pub(crate) fn next_event(&self) -> u64 {
         let mut e = self.next_arrival;
         if let Some(d) = self.drills.get(self.drill_pos) {
             e = e.min(d.at_dram_cycle);
@@ -1109,7 +1105,6 @@ mod tests {
             chip: 0,
         });
         let e = RasEngine::new(cfg, 8, 4, true);
-        assert!(e.next_event(false) <= 500, "drill bounds the jump");
-        assert_eq!(e.next_event(true), u64::MAX, "wind-down after cores done");
+        assert!(e.next_event() <= 500, "drill bounds the jump");
     }
 }

@@ -177,15 +177,12 @@ pub struct System {
     churn: Option<ChurnDriver>,
     isolated: bool,
     cycle: u64,
-    /// Cores proven stalled until a memory completion (or finished for
-    /// good): their per-cycle retire/fetch calls are provable no-ops and
-    /// are skipped. Only maintained for static workloads without a RAS
-    /// pipeline — lifecycle hooks can unblock a core from outside the
-    /// memory path, so parking is disabled when either is active.
+    /// Cores proven stalled until a memory completion, or finished
+    /// until the churn driver reloads their slot: their per-cycle
+    /// retire/fetch calls are provable no-ops and are skipped. A read
+    /// completion or a session reload unparks; RAS hooks never touch
+    /// core state.
     parked: Vec<bool>,
-    /// Number of `true` entries in `parked` (all-parked cycles take an
-    /// even shorter event-skip path).
-    nparked: usize,
     /// Reusable completion-drain buffer for the run loop.
     comp_buf: Vec<Completion>,
     /// Durable checkpoint sink, if crash recovery is enabled
@@ -231,7 +228,6 @@ impl System {
             isolated,
             cycle: 0,
             parked: vec![false; ncores],
-            nparked: 0,
             comp_buf: Vec::new(),
             snap: None,
         }
@@ -369,7 +365,6 @@ impl System {
         } else {
             self.cfg.max_cycles
         };
-        let parking = self.ras.is_none() && self.churn.is_none();
 
         while !self.all_done() {
             assert!(self.cycle < limit, "simulation exceeded max_cycles");
@@ -403,9 +398,7 @@ impl System {
                 self.mem.drain_completions_into(&mut buf);
                 for c in &buf {
                     if let Some(tag) = self.tags.remove(&c.id) {
-                        if std::mem::replace(&mut self.parked[tag.core], false) {
-                            self.nparked -= 1;
-                        }
+                        self.parked[tag.core] = false;
                         if let Some(p) = self.cores[tag.core]
                             .reads
                             .iter_mut()
@@ -426,15 +419,11 @@ impl System {
                 }
                 self.retire(core_idx);
                 self.fetch(core_idx);
-                if parking {
-                    self.maybe_park(core_idx);
-                }
+                self.maybe_park(core_idx);
             }
 
             self.try_fast_forward();
-            if parking {
-                self.try_bulk_advance();
-            }
+            self.try_bulk_advance();
             self.try_event_skip();
             self.cycle += 1;
         }
@@ -443,8 +432,9 @@ impl System {
     /// Park a core whose retire/fetch are provably no-ops until a read
     /// completion arrives. Two cases:
     ///
-    /// * the core is [`done`](Core::done) — with no churn driver there
-    ///   is nothing left to do, ever;
+    /// * the core is [`done`](Core::done) — nothing is left to do
+    ///   until the churn driver reloads the slot with its next session
+    ///   (which unparks it), so for a static workload never again;
     /// * the ROB head is an outstanding read (blocks retirement) and
     ///   fetch cannot add work either (ROB full, or the trace is
     ///   drained). The head read's completion is then the only event
@@ -454,16 +444,13 @@ impl System {
     /// mutated anything, so cycle-level behavior is bit-identical.
     fn maybe_park(&mut self, ci: usize) {
         let core = &self.cores[ci];
-        let park = core.done()
+        self.parked[ci] = core.done()
             || (core.blocked_write.is_none()
                 && (core.trace_done() || core.rob_occupancy() >= self.cfg.rob_size)
                 && core
                     .reads
                     .front()
                     .is_some_and(|f| f.rob_pos == core.retired && !f.done));
-        if park && !std::mem::replace(&mut self.parked[ci], true) {
-            self.nparked += 1;
-        }
     }
 
     /// One CPU-cycle step of the enclave lifecycle: fire page-free
@@ -493,6 +480,7 @@ impl System {
                 if let Some((trace, traffic)) = ch.create(s, self.cycle, &mut self.engine) {
                     self.queue_meta(&traffic);
                     self.cores[s].reload(trace);
+                    self.parked[s] = false;
                 }
             }
         }
@@ -768,11 +756,9 @@ impl System {
             let core = &mut self.cores[ci];
             if is_write {
                 // Writes retire into the write queue; metadata issues now.
-                let rob_pos = core.fetched;
                 core.fetched += 1;
                 core.op_issued = true;
                 budget -= 1;
-                let _ = rob_pos;
                 let ok = self.mem.enqueue_write(daddr, dram_now).is_ok();
                 if !ok {
                     self.cores[ci].blocked_write = Some(daddr);
@@ -837,10 +823,15 @@ impl System {
     /// completion, queue-space change, or refresh can land inside it,
     /// and nothing is enqueued during it (only gap instructions are
     /// fetched) — DRAM ticks inside the window are no-ops by the
-    /// channel contract. Anything nonlinear (a memory op due, a stall
+    /// channel contract. It is clipped below the drivers' next wake-up
+    /// too ([`driver_wake`](Self::driver_wake)): no fault arrival,
+    /// drill, patrol read, page retirement, page free, session end or
+    /// admission lands inside it. The window only fetches gap
+    /// instructions, so it never advances a record (the trigger for a
+    /// page free) and stops short of a core finishing (the trigger for
+    /// a session end). Anything nonlinear (a memory op due, a stall
     /// deadline, a blocked write, a record advance, a completed head
     /// read) zeroes the window and falls back to per-cycle stepping.
-    /// Only active for static workloads without RAS, like parking.
     fn try_bulk_advance(&mut self) {
         // Only while memory has work: an idle-memory jump could pass
         // the cycle where the run-loop would have observed `all_done`
@@ -849,13 +840,15 @@ impl System {
         if !self.pending_meta.is_empty() || self.mem.is_idle() {
             return;
         }
+        let Some(wake) = self.driver_wake() else {
+            return;
+        };
         let now = self.cycle;
         let w = self.cfg.width;
         // Cycles strictly inside the window must precede the next
-        // memory event (completions / queue space / refresh).
-        let cur_dram = now / CPU_PER_DRAM_CYCLE;
-        let ev = self.mem.next_event();
-        let ev_cpu = ev.max(cur_dram + 1).saturating_mul(CPU_PER_DRAM_CYCLE);
+        // memory event (completions / queue space / refresh) and the
+        // drivers' wake-up.
+        let ev_cpu = self.dram_event_cpu(self.mem.next_event()).min(wake);
         let mut j = (ev_cpu - now).saturating_sub(1);
         for (ci, c) in self.cores.iter().enumerate() {
             if j == 0 {
@@ -944,8 +937,16 @@ impl System {
         self.cycle = now + j;
     }
 
-    /// When nothing is in flight anywhere, jump time to the next event:
-    /// pure gap-crunching proceeds at `width` instructions per cycle.
+    /// When nothing is in flight anywhere, jump time ahead: pure
+    /// gap-crunching proceeds at `width` instructions per cycle.
+    ///
+    /// An approximation, not a cycle-exact skip: the jump retires the
+    /// ROB backlog `b` first and then fetches only `jump * width - b`
+    /// gap instructions, whereas per-cycle stepping retires and fetches
+    /// `width` each in the same cycle. A core therefore reaches its
+    /// next memory op up to `b / width` cycles later than stepping
+    /// would. Every figure is produced with this model, so making it
+    /// exact would move them all.
     fn try_fast_forward(&mut self) {
         if !self.mem.is_idle() || !self.pending_meta.is_empty() {
             return;
@@ -957,9 +958,9 @@ impl System {
         {
             return;
         }
-        // Cycles until any core reaches its next memory op (bounded by
-        // ROB drain, which is also width-limited -> gap/width is exact
-        // only when the ROB never fills; be conservative by half).
+        // Cycles to jump: half the smallest per-core (gap + backlog) /
+        // width. The halving is a safety margin, not an exactness
+        // bound (see above).
         let mut jump = u64::MAX;
         for c in &self.cores {
             if c.done() {
@@ -971,7 +972,7 @@ impl System {
         // The RAS fault process needs the clock at its next arrival,
         // drill, or patrol slot: never jump past it.
         if let Some(ras) = &self.ras {
-            let ev_cpu = ras.next_event(false).saturating_mul(CPU_PER_DRAM_CYCLE);
+            let ev_cpu = ras.next_event().saturating_mul(CPU_PER_DRAM_CYCLE);
             jump = jump.min(ev_cpu.saturating_sub(self.cycle));
         }
         // Likewise the next enclave arrival: idle slots may only sleep
@@ -1006,6 +1007,41 @@ impl System {
         self.mem.fast_forward(self.cycle / CPU_PER_DRAM_CYCLE);
     }
 
+    /// The CPU cycle at which a memory-system wake-up `ev` (a DRAM
+    /// cycle) can first be observed: the next DRAM tick at the earliest.
+    fn dram_event_cpu(&self, ev: u64) -> u64 {
+        ev.max(self.cycle / CPU_PER_DRAM_CYCLE + 1)
+            .saturating_mul(CPU_PER_DRAM_CYCLE)
+    }
+
+    /// The earliest CPU cycle at which the RAS pipeline or the churn
+    /// driver next needs the clock (`u64::MAX` for never), or `None`
+    /// when one of them acts at the very next step: a pending page
+    /// retirement, a fireable page free, a drained live session, or an
+    /// admission that is due (or retrying). Bounds both cycle-exact
+    /// clock jumps, event skip and bulk advance.
+    fn driver_wake(&self) -> Option<u64> {
+        let mut wake = u64::MAX;
+        if let Some(ras) = &self.ras {
+            if !ras.pending_retires.is_empty() {
+                return None; // retirements execute at the next DRAM tick
+            }
+            wake = self.dram_event_cpu(ras.next_event());
+        }
+        if let Some(ch) = &self.churn {
+            let acts_now = self.cores.iter().enumerate().any(|(s, c)| {
+                ch.live[s]
+                    && (c.done() || ch.frees[s].front().is_some_and(|f| f.after_record < c.pos))
+            });
+            let ready = ch.next_ready().unwrap_or(u64::MAX);
+            if acts_now || ready <= self.cycle {
+                return None;
+            }
+            wake = wake.min(ready);
+        }
+        Some(wake)
+    }
+
     /// Event-driven idle skip: when every core is provably stalled on a
     /// *timed* event — a DRAM wake-up (completion, queue space, refresh),
     /// a `stall_until` deadline, a RAS arrival/patrol slot, or a churn
@@ -1021,14 +1057,7 @@ impl System {
     /// skip when no core, metadata drain, RAS hook, or churn event can
     /// enqueue anything.
     fn try_event_skip(&mut self) {
-        let cur_dram = self.cycle / CPU_PER_DRAM_CYCLE;
-        // Earliest CPU cycle at which a memory event can fire: the
-        // system's wake-up, clamped to the next DRAM tick boundary.
-        let dram_to_cpu = |ev: u64| match ev {
-            u64::MAX => u64::MAX,
-            e => e.max(cur_dram + 1).saturating_mul(CPU_PER_DRAM_CYCLE),
-        };
-        let mut target = dram_to_cpu(self.mem.next_event());
+        let mut target = self.dram_event_cpu(self.mem.next_event());
 
         // Queued metadata the next DRAM tick could drain makes that
         // tick a real event; a blocked head waits on queue space, which
@@ -1044,53 +1073,20 @@ impl System {
             }
         }
 
-        if let Some(ras) = &self.ras {
-            if !ras.pending_retires.is_empty() {
-                return; // retirements execute at the next DRAM tick
-            }
-            target = target.min(dram_to_cpu(ras.next_event(false)));
-        }
-
-        if let Some(ch) = &self.churn {
-            for s in 0..self.cores.len() {
-                if ch.live[s] {
-                    // A fireable page free or a drained session acts on
-                    // the very next `churn_tick`.
-                    if ch.frees[s]
-                        .front()
-                        .is_some_and(|f| f.after_record < self.cores[s].pos)
-                        || self.cores[s].done()
-                    {
-                        return;
-                    }
-                }
-            }
-            if let Some(ready) = ch.next_ready() {
-                if ready <= self.cycle {
-                    return; // an admission is due (or retrying) now
-                }
-                target = target.min(ready);
-            }
-        }
-
-        // Parked cores are provably frozen until a read completion, and
-        // completions only happen at memory work ticks — already bounded
-        // by `target`. (Their `stall_until` deadlines are unobservable
-        // while parked: fetch stays ROB- or trace-blocked regardless.)
-        if self.nparked == self.cores.len() {
-            let lim = if self.mem.is_idle() {
-                CPU_PER_DRAM_CYCLE
-            } else {
-                1
-            };
-            if target == u64::MAX || target <= self.cycle + lim {
-                return;
-            }
-            self.cycle = target - 1;
+        let Some(wake) = self.driver_wake() else {
             return;
-        }
+        };
+        target = target.min(wake);
 
-        for core in &self.cores {
+        // Parked cores are provably frozen until a read completion (or
+        // a session reload, bounded by `wake`), and completions only
+        // happen at memory work ticks — already bounded by `target`.
+        // Their `stall_until` deadlines are unobservable while parked:
+        // fetch stays ROB- or trace-blocked regardless.
+        for (core, &parked) in self.cores.iter().zip(&self.parked) {
+            if parked {
+                continue;
+            }
             // Retire side. A blocked write drains as soon as the queue
             // has space; an undone head read waits on its completion.
             if let Some(addr) = core.blocked_write {
@@ -1160,8 +1156,7 @@ impl System {
     ///
     /// Hand-written, like its `Persist::load`: which optional layers
     /// are present, the core count and static trace lengths are checked
-    /// against the constructed system, and the parking counters are
-    /// re-derived rather than stored.
+    /// against the constructed system.
     ///
     /// # Panics
     /// Panics if DRAM command logging is enabled (logs are unbounded
@@ -1277,7 +1272,6 @@ impl Persist for System {
         r.load_exact(&mut self.leaf_maps, "leaf-map count")?;
         self.ras_loc.load(r, "ras locations")?;
         r.load_exact(&mut self.parked, "parked-flag count")?;
-        self.nparked = self.parked.iter().filter(|&&p| p).count();
         self.comp_buf.clear();
         Ok(())
     }
