@@ -5,9 +5,13 @@
 //! ticking every cycle (so the optimized channel's event skipping must
 //! be a provable no-op), and must produce identical command logs
 //! (command, cycle, rank, bank, row), identical completion streams, and
-//! identical statistics.
+//! identical statistics. Every property runs on the Table III geometry
+//! and on a 4-rank x 4-bank one, so the bank-to-rank index is not tied
+//! to one shape; one property also snapshots the optimized channel
+//! mid-stream and continues from a fresh channel loaded from the bytes.
 
-use itesp_dram::{AddressDecoder, Channel, DramConfig, ReferenceChannel, Request};
+use itesp_dram::{AddressDecoder, Channel, DramConfig, DramGeometry, ReferenceChannel, Request};
+use itesp_snap::{Persist, SnapReader, SnapWriter};
 use proptest::prelude::*;
 
 const BLOCK_BYTES: u64 = itesp_dram::BLOCK_BYTES;
@@ -34,13 +38,55 @@ fn addr_for(cfg: &DramConfig, kind: u8, idx: u32) -> u64 {
     }
 }
 
+/// The geometries every property runs on: Table III (16 ranks x 8
+/// banks) and a small 4 x 4 one.
+fn configs() -> [DramConfig; 2] {
+    let small = DramGeometry {
+        ranks_per_channel: 4,
+        banks_per_rank: 4,
+        ..DramGeometry::table_iii()
+    }
+    .validated()
+    .expect("4 x 4 geometry is valid");
+    [
+        DramConfig::table_iii(),
+        DramConfig {
+            geometry: small,
+            ..DramConfig::table_iii()
+        },
+    ]
+}
+
+/// Snapshot `ch` and load the bytes into a fresh channel of `cfg`.
+fn restored(ch: &Channel, cfg: DramConfig) -> Channel {
+    let mut w = SnapWriter::new();
+    ch.save(&mut w);
+    let bytes = w.into_bytes();
+    let mut r = SnapReader::new(&bytes);
+    let mut fresh = Channel::new(cfg);
+    fresh
+        .load(&mut r, "channel")
+        .expect("channel snapshot loads");
+    r.finish().expect("channel snapshot fully consumed");
+    fresh
+}
+
 /// Drive both schedulers with the same arrivals and assert equivalence.
-fn check_equivalence(arrivals: &[Arrival]) {
-    let cfg = DramConfig::table_iii();
+///
+/// With `restore_at`, the optimized channel runs unlogged (a logged
+/// channel refuses to snapshot) until the first cycle at or after
+/// `restore_at` with a request queued; there it is replaced by a fresh
+/// channel loaded from its snapshot, and command logs are compared from
+/// that cycle on. Completions and occupancy are compared every cycle,
+/// stats at the end. Returns whether the restore happened.
+fn check_equivalence(cfg: DramConfig, arrivals: &[Arrival], restore_at: Option<u64>) -> bool {
     let dec = AddressDecoder::new(cfg.geometry, cfg.mapping);
     let mut opt = Channel::new(cfg);
     let mut refc = ReferenceChannel::new(cfg);
-    opt.enable_cmd_log();
+    let mut pending_restore = restore_at;
+    if pending_restore.is_none() {
+        opt.enable_cmd_log();
+    }
     refc.enable_cmd_log();
 
     // Absolute arrival times from the generated gaps.
@@ -70,6 +116,12 @@ fn check_equivalence(arrivals: &[Arrival]) {
             id += 1;
             next += 1;
         }
+        if pending_restore.is_some_and(|at| now >= at && !opt.is_idle()) {
+            opt = restored(&opt, cfg);
+            opt.enable_cmd_log();
+            refc.take_cmd_log();
+            pending_restore = None;
+        }
         opt.tick(now);
         refc.tick(now);
         let co = opt.take_completions();
@@ -89,6 +141,7 @@ fn check_equivalence(arrivals: &[Arrival]) {
         "command streams diverged"
     );
     assert_eq!(opt.stats(), refc.stats(), "stats diverged");
+    restore_at.is_some() && pending_restore.is_none()
 }
 
 proptest! {
@@ -98,7 +151,9 @@ proptest! {
             1..100,
         ),
     ) {
-        check_equivalence(&arrivals);
+        for cfg in configs() {
+            check_equivalence(cfg, &arrivals, None);
+        }
     }
 
     fn optimized_scheduler_matches_reference_bursty(
@@ -109,7 +164,26 @@ proptest! {
             32..128,
         ),
     ) {
-        check_equivalence(&arrivals);
+        for cfg in configs() {
+            check_equivalence(cfg, &arrivals, None);
+        }
+    }
+
+    fn optimized_scheduler_matches_reference_across_restore(
+        arrivals in prop::collection::vec(
+            // Bursty, so the queues are still full when the snapshot
+            // is taken, with rows open that queued requests hit.
+            (0u64..1, 0u8..2, any::<u32>(), any::<bool>()),
+            32..128,
+        ),
+        restore_at in 1u64..64,
+    ) {
+        for cfg in configs() {
+            prop_assert!(
+                check_equivalence(cfg, &arrivals, Some(restore_at)),
+                "stream drained before the restore point"
+            );
+        }
     }
 }
 
@@ -126,7 +200,9 @@ fn drain_flag_oscillation_parity() {
             (read_arrival, 0, 5, false),
             (1, 0, 9, false),
         ];
-        check_equivalence(&arrivals);
+        for cfg in configs() {
+            check_equivalence(cfg, &arrivals, None);
+        }
     }
 }
 
@@ -140,5 +216,7 @@ fn idle_gaps_spanning_refresh() {
         (t.t_refi + 3, 1, 1, true),
         (2 * t.t_refi, 0, 77, false),
     ];
-    check_equivalence(&arrivals);
+    for cfg in configs() {
+        check_equivalence(cfg, &arrivals, None);
+    }
 }
