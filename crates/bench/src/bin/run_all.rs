@@ -75,6 +75,10 @@ struct BenchLogEntry {
     git_rev: String,
     jobs: usize,
     ops: usize,
+    /// The machine the campaign ran on: timings from different hosts
+    /// are not comparable. Entries written before this field existed
+    /// lack it.
+    host: Host,
     /// Wall-clock seconds per target, in campaign order.
     targets: Vec<TargetSeconds>,
     total_seconds: f64,
@@ -85,6 +89,35 @@ struct BenchLogEntry {
 struct TargetSeconds {
     target: String,
     seconds: f64,
+}
+
+#[derive(Serialize)]
+struct Host {
+    /// The first `model name` in `/proc/cpuinfo` ("unknown" without one).
+    cpu: String,
+    /// `std::thread::available_parallelism` (0 when unknown).
+    parallelism: usize,
+}
+
+impl Host {
+    fn current() -> Self {
+        let cpu = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|text| cpu_model(&text))
+            .unwrap_or_else(|| "unknown".to_owned());
+        Host {
+            cpu,
+            parallelism: std::thread::available_parallelism().map_or(0, |n| n.get()),
+        }
+    }
+}
+
+/// The first `model name` value of a `/proc/cpuinfo` text.
+fn cpu_model(cpuinfo: &str) -> Option<String> {
+    cpuinfo.lines().find_map(|line| {
+        let (key, value) = line.split_once(':')?;
+        (key.trim() == "model name").then(|| value.trim().to_owned())
+    })
 }
 
 fn git_rev() -> String {
@@ -146,10 +179,19 @@ fn split_array_elements(text: &str) -> Option<Vec<String>> {
     Some(elems)
 }
 
+/// The dedupe key of one log entry.
+type EntryKey = (String, u64, Vec<String>, Option<(String, u64)>);
+
 /// The dedupe key of one log entry: `(git rev, jobs, sorted target
-/// set)`. Entries that fail to expose the key are kept as-is.
-fn entry_key(text: &str) -> Option<(String, u64, Vec<String>)> {
+/// set, host)`, with host `(cpu, parallelism)` or `None` for entries
+/// written before hosts were recorded. Entries that fail to expose the
+/// key are kept as-is.
+fn entry_key(text: &str) -> Option<EntryKey> {
     let v = serde_json::from_str(text).ok()?;
+    let host = v.field("host").ok().and_then(|h| {
+        let cpu = h.field("cpu").ok()?.as_str().ok()?.to_owned();
+        Some((cpu, h.field("parallelism").ok()?.as_u64().ok()?))
+    });
     let git = v.field("git_rev").ok()?.as_str().ok()?.to_owned();
     let jobs = v.field("jobs").ok()?.as_u64().ok()?;
     let mut targets: Vec<String> = v
@@ -161,14 +203,14 @@ fn entry_key(text: &str) -> Option<(String, u64, Vec<String>)> {
         .map(|t| Some(t.field("target").ok()?.as_str().ok()?.to_owned()))
         .collect::<Option<_>>()?;
     targets.sort_unstable();
-    Some((git, jobs, targets))
+    Some((git, jobs, targets, host))
 }
 
 /// Record this run's per-target seconds in the perf-trajectory log
 /// (`BENCH_run_all.json`, or `ITESP_BENCH_LOG`). The log is a JSON
 /// array of [`BenchLogEntry`]; a corrupt or missing file starts fresh
 /// rather than aborting a finished campaign. Re-running at the same
-/// `(git rev, jobs, target set)` *replaces* the earlier measurement
+/// `(git rev, jobs, target set, host)` *replaces* the earlier measurement
 /// instead of appending forever — rerunning a campaign at one revision
 /// must not make the trajectory grow without bound.
 fn append_bench_log(reports: &[TargetReport], failures: &[String]) {
@@ -180,6 +222,7 @@ fn append_bench_log(reports: &[TargetReport], failures: &[String]) {
         git_rev: git_rev(),
         jobs: jobs_from_env(),
         ops: ops_from_env(),
+        host: Host::current(),
         targets: reports
             .iter()
             .map(|r| TargetSeconds {
@@ -192,7 +235,12 @@ fn append_bench_log(reports: &[TargetReport], failures: &[String]) {
     };
     let mut key_targets: Vec<String> = entry.targets.iter().map(|t| t.target.clone()).collect();
     key_targets.sort_unstable();
-    let key = (entry.git_rev.clone(), entry.jobs as u64, key_targets);
+    let key = (
+        entry.git_rev.clone(),
+        entry.jobs as u64,
+        key_targets,
+        Some((entry.host.cpu.clone(), entry.host.parallelism as u64)),
+    );
     let rendered = serde_json::to_string_pretty(&entry).expect("entry serializes");
 
     let mut parts: Vec<String> = std::fs::read_to_string(&path)
@@ -388,6 +436,34 @@ mod tests {
         assert_eq!(entry_key(a), entry_key(b));
         assert_ne!(entry_key(a), entry_key(c));
         assert_eq!(entry_key("{}"), None);
+    }
+
+    #[test]
+    fn entry_key_includes_the_host_when_recorded() {
+        let old = r#"{"git_rev": "abc", "jobs": 1,
+            "targets": [{"target": "fig08", "seconds": 1.0}]}"#;
+        let host = |cpu: &str, n: u64| {
+            format!(
+                r#"{{"git_rev": "abc", "jobs": 1, "host": {{"cpu": "{cpu}", "parallelism": {n}}},
+                "targets": [{{"target": "fig08", "seconds": 1.0}}]}}"#
+            )
+        };
+        let key = |text: &str| entry_key(text).expect("entry keys");
+        // An entry from before hosts were recorded still keys, hostless.
+        assert_eq!(key(old).3, None);
+        assert_eq!(key(&host("Xeon", 2)).3, Some(("Xeon".to_owned(), 2)));
+        // The same run on another host is a different entry.
+        assert_ne!(key(old), key(&host("Xeon", 2)));
+        assert_ne!(key(&host("Xeon", 2)), key(&host("Xeon", 4)));
+        assert_ne!(key(&host("Xeon", 2)), key(&host("EPYC", 2)));
+    }
+
+    #[test]
+    fn cpu_model_reads_the_first_model_name() {
+        let text = "processor\t: 0\nvendor_id\t: X\nmodel name\t: Example CPU @ 2.00GHz\n\n\
+                    processor\t: 1\nmodel name\t: Other\n";
+        assert_eq!(cpu_model(text).as_deref(), Some("Example CPU @ 2.00GHz"));
+        assert_eq!(cpu_model("processor\t: 0\n"), None);
     }
 
     #[test]
