@@ -1,46 +1,52 @@
-//! Regenerate every table and figure in sequence, resiliently.
+//! Regenerate every table and figure, resiliently.
 //!
 //! Run: `cargo run --release -p itesp-bench --bin run_all [ops] [--jobs N]
 //!        [--resume] [--timeout S] [--retries N]
 //!        [--target-timeout S] [--target-retries N]`
 //!
-//! All arguments except the `--target-*` pair are forwarded to each
-//! child regenerator. Each child runs under an optional wall-clock
-//! deadline (`--target-timeout` / `ITESP_TARGET_TIMEOUT`) and retry
-//! budget (`--target-retries` / `ITESP_TARGET_RETRIES`); retried
-//! children get `--resume` appended so completed jobs are not
-//! recomputed. A failing target does not stop the campaign — the run
-//! continues, the failure lands in `results/run_all_summary.json`, and
-//! the process exits nonzero at the end.
+//! First the grid step runs in-process: the union of the nine grid
+//! figures' runs (see `itesp_bench::grid`) is simulated once, as the
+//! checkpointed campaign `run_all.grid`, and each figure is folded from
+//! that one run set and saved. `--timeout`/`--retries` apply to its
+//! jobs; the grid checkpoint is cleared once all nine figures are saved.
+//!
+//! Then the other targets run as child processes, each given all
+//! arguments except the `--target-*` pair. Each child runs under an
+//! optional wall-clock deadline (`--target-timeout` /
+//! `ITESP_TARGET_TIMEOUT`) and retry budget (`--target-retries` /
+//! `ITESP_TARGET_RETRIES`); retried children get `--resume` appended so
+//! completed jobs are not recomputed. A failing step does not stop the
+//! campaign — the run continues, the failure lands in
+//! `results/run_all_summary.json`, and the process exits nonzero at the
+//! end.
 
+use std::fmt;
+use std::path::Path;
 use std::process::Command;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use itesp_bench::{
-    jobs_from_env, ops_from_env, save_json, target_retries_from_env, target_timeout_from_env,
+    grid, jobs_from_env, ops_from_env, results_dir_from_env, save_json, target_retries_from_env,
+    target_timeout_from_env, CampaignOptions, Checkpoint, RunSet,
 };
 use serde::Serialize;
 
-const TARGETS: &[&str] = &[
+/// The targets that run as child processes, after the grid step.
+const CHILD_TARGETS: &[&str] = &[
     "tab01",
     "tab02",
     "fig02",
     "fig03",
     "fig05",
-    "fig08",
-    "fig09",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig15",
-    "figras",
     "figchurn",
-    "figpareto",
     "figrecover",
     "figserve",
     "figmigrate",
 ];
+
+/// The grid step's campaign (and checkpoint) name. A failed job's
+/// replay line names the part before the dot: `run_all`.
+const GRID_TARGET: &str = "run_all.grid";
 
 /// The serve and migrate drills run live processes with kills and
 /// drains; when no explicit `--target-timeout` is set, cap them so a
@@ -206,14 +212,68 @@ fn entry_key(text: &str) -> Option<EntryKey> {
     Some((git, jobs, targets, host))
 }
 
-/// Record this run's per-target seconds in the perf-trajectory log
-/// (`BENCH_run_all.json`, or `ITESP_BENCH_LOG`). The log is a JSON
-/// array of [`BenchLogEntry`]; a corrupt or missing file starts fresh
-/// rather than aborting a finished campaign. Re-running at the same
-/// `(git rev, jobs, target set, host)` *replaces* the earlier measurement
-/// instead of appending forever — rerunning a campaign at one revision
-/// must not make the trajectory grow without bound.
-fn append_bench_log(reports: &[TargetReport], failures: &[String]) {
+/// Why the perf-trajectory log was not updated.
+#[derive(Debug)]
+enum BenchLogError {
+    /// The existing log could not be read; it is left untouched.
+    Read(String, std::io::Error),
+    /// The existing log is not a JSON array; it is left untouched.
+    Corrupt(String),
+    /// The updated log could not be written durably.
+    Write(String, std::io::Error),
+}
+
+impl fmt::Display for BenchLogError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            BenchLogError::Read(path, e) => write!(f, "could not read bench log {path}: {e}"),
+            BenchLogError::Corrupt(path) => write!(
+                f,
+                "bench log {path} is not a JSON array; left untouched \
+                 (repair or move it, then rerun)"
+            ),
+            BenchLogError::Write(path, e) => write!(f, "could not write bench log {path}: {e}"),
+        }
+    }
+}
+
+/// Add `entry` to the perf-trajectory log at `path` (a JSON array of
+/// [`BenchLogEntry`]; a missing file starts one). An entry with the
+/// same `(git rev, jobs, target set, host)` is *replaced* rather than
+/// appended, so rerunning a campaign at one revision does not grow the
+/// trajectory. The file is rewritten atomically, and an existing log
+/// that cannot be read or parsed is never overwritten. Returns how many
+/// entries were replaced.
+fn update_bench_log(path: &str, entry: &BenchLogEntry) -> Result<usize, BenchLogError> {
+    let mut parts = match std::fs::read_to_string(path) {
+        Ok(text) => serde_json::from_str(&text)
+            .ok()
+            .and_then(|_| split_array_elements(&text))
+            .ok_or_else(|| BenchLogError::Corrupt(path.to_owned()))?,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => return Err(BenchLogError::Read(path.to_owned(), e)),
+    };
+    let mut key_targets: Vec<String> = entry.targets.iter().map(|t| t.target.clone()).collect();
+    key_targets.sort_unstable();
+    let key = (
+        entry.git_rev.clone(),
+        entry.jobs as u64,
+        key_targets,
+        Some((entry.host.cpu.clone(), entry.host.parallelism as u64)),
+    );
+    let before = parts.len();
+    parts.retain(|e| entry_key(e).is_none_or(|k| k != key));
+    let superseded = before - parts.len();
+    parts.push(serde_json::to_string_pretty(entry).expect("entry serializes"));
+    let body = format!("[\n{}\n]\n", parts.join(",\n"));
+    itesp_snap::write_atomic(Path::new(path), body.as_bytes())
+        .map_err(|e| BenchLogError::Write(path.to_owned(), e))?;
+    Ok(superseded)
+}
+
+/// Record this run's per-target seconds in `BENCH_run_all.json` (or
+/// `ITESP_BENCH_LOG`).
+fn append_bench_log(reports: &[TargetReport], failures: &[String]) -> Result<(), BenchLogError> {
     let path = std::env::var("ITESP_BENCH_LOG").unwrap_or_else(|_| "BENCH_run_all.json".to_owned());
     let entry = BenchLogEntry {
         timestamp: SystemTime::now()
@@ -233,36 +293,14 @@ fn append_bench_log(reports: &[TargetReport], failures: &[String]) {
         total_seconds: reports.iter().map(|r| r.seconds).sum(),
         failures: failures.to_vec(),
     };
-    let mut key_targets: Vec<String> = entry.targets.iter().map(|t| t.target.clone()).collect();
-    key_targets.sort_unstable();
-    let key = (
-        entry.git_rev.clone(),
-        entry.jobs as u64,
-        key_targets,
-        Some((entry.host.cpu.clone(), entry.host.parallelism as u64)),
-    );
-    let rendered = serde_json::to_string_pretty(&entry).expect("entry serializes");
-
-    let mut parts: Vec<String> = std::fs::read_to_string(&path)
-        .ok()
-        .filter(|s| serde_json::from_str(s).is_ok())
-        .and_then(|s| split_array_elements(&s))
-        .unwrap_or_default();
-    let before = parts.len();
-    parts.retain(|e| entry_key(e).is_none_or(|k| k != key));
-    let superseded = before - parts.len();
-    parts.push(rendered);
-    let body = format!("[\n{}\n]", parts.join(",\n"));
-    if let Err(e) = std::fs::write(&path, body + "\n") {
-        eprintln!("warning: could not append bench log {path}: {e}");
-    } else if superseded > 0 {
-        println!(
-            "[bench trajectory updated in {path}: replaced {superseded} same-key entr{}]",
-            if superseded == 1 { "y" } else { "ies" }
-        );
-    } else {
-        println!("[bench trajectory appended to {path}]");
+    match update_bench_log(&path, &entry)? {
+        0 => println!("[bench trajectory appended to {path}]"),
+        n => println!(
+            "[bench trajectory updated in {path}: replaced {n} same-key entr{}]",
+            if n == 1 { "y" } else { "ies" }
+        ),
     }
+    Ok(())
 }
 
 enum TargetStatus {
@@ -270,6 +308,8 @@ enum TargetStatus {
     Exit(i32),
     TimedOut(Duration),
     LaunchFailed(String),
+    /// An in-process step's campaign did not complete every job.
+    Incomplete,
 }
 
 impl TargetStatus {
@@ -283,6 +323,7 @@ impl TargetStatus {
             TargetStatus::Exit(code) => format!("exit {code}"),
             TargetStatus::TimedOut(t) => format!("timed out after {:.0}s", t.as_secs_f64()),
             TargetStatus::LaunchFailed(e) => format!("launch failed: {e}"),
+            TargetStatus::Incomplete => "incomplete".to_owned(),
         }
     }
 }
@@ -334,6 +375,63 @@ fn forwarded_args() -> Vec<String> {
     out
 }
 
+/// Close one step: echo its time, record a failure, build its report.
+fn finish(
+    target: &str,
+    start: Instant,
+    status: TargetStatus,
+    attempts: u32,
+    failures: &mut Vec<String>,
+) -> TargetReport {
+    if !status.is_ok() {
+        eprintln!("{target} {}", status.describe());
+        failures.push(target.to_owned());
+    }
+    let seconds = start.elapsed().as_secs_f64();
+    println!("[{target}: {seconds:.2}s]");
+    TargetReport {
+        target: target.to_owned(),
+        seconds,
+        status: status.describe(),
+        attempts,
+    }
+}
+
+/// The grid step: simulate the union of the grid figures' runs once,
+/// then fold and save each figure from that set. The grid checkpoint
+/// is kept until every figure is saved, so `--resume` after a failed
+/// figure does not re-simulate the grid.
+fn run_grid(reports: &mut Vec<TargetReport>, failures: &mut Vec<String>) {
+    let ops = ops_from_env();
+    println!("\n================ grid ================");
+    let start = Instant::now();
+    let keys = grid::union_keys(ops);
+    let set = RunSet::run(GRID_TARGET, &keys, &CampaignOptions::from_env(ops));
+    let status = set
+        .as_ref()
+        .map_or(TargetStatus::Incomplete, |_| TargetStatus::Ok);
+    reports.push(finish("grid", start, status, 1, failures));
+    let Some(set) = set else {
+        return;
+    };
+    let mut all_saved = true;
+    for fig in grid::FIGURES {
+        println!("\n================ {} ================", fig.name);
+        let start = Instant::now();
+        let saved = (fig.report)(&set, ops).is_some();
+        all_saved &= saved;
+        let status = if saved {
+            TargetStatus::Ok
+        } else {
+            TargetStatus::Incomplete
+        };
+        reports.push(finish(fig.name, start, status, 1, failures));
+    }
+    if all_saved {
+        let _ = std::fs::remove_file(Checkpoint::path_for(&results_dir_from_env(), GRID_TARGET));
+    }
+}
+
 fn main() {
     let forwarded = forwarded_args();
     let timeout = target_timeout_from_env();
@@ -342,7 +440,8 @@ fn main() {
     let dir = me.parent().expect("exe directory");
     let mut reports = Vec::new();
     let mut failures: Vec<String> = Vec::new();
-    for t in TARGETS {
+    run_grid(&mut reports, &mut failures);
+    for t in CHILD_TARGETS {
         println!("\n================ {t} ================");
         let start = Instant::now();
         let mut attempts = 0u32;
@@ -366,18 +465,7 @@ fn main() {
                 retries + 1
             );
         };
-        if !status.is_ok() {
-            eprintln!("{t} {}", status.describe());
-            failures.push((*t).to_owned());
-        }
-        let seconds = start.elapsed().as_secs_f64();
-        println!("[{t}: {seconds:.2}s]");
-        reports.push(TargetReport {
-            target: (*t).to_owned(),
-            seconds,
-            status: status.describe(),
-            attempts,
-        });
+        reports.push(finish(t, start, status, attempts, &mut failures));
     }
 
     println!("\nWall-clock per target:");
@@ -391,15 +479,20 @@ fn main() {
         failures: failures.clone(),
     };
     save_json("run_all_summary", &summary);
-    append_bench_log(&summary.targets, &summary.failures);
+    let logged = append_bench_log(&summary.targets, &summary.failures);
 
     if failures.is_empty() {
-        println!("\nAll {} regenerators completed.", TARGETS.len());
+        println!("\nAll {} targets completed.", summary.targets.len());
     } else {
         eprintln!(
             "\nFailed: {failures:?} — completed jobs are checkpointed; \
              rerun with --resume to finish without recomputing them"
         );
+    }
+    if let Err(e) = &logged {
+        eprintln!("error: {e}");
+    }
+    if !failures.is_empty() || logged.is_err() {
         std::process::exit(1);
     }
 }
@@ -464,6 +557,64 @@ mod tests {
                     processor\t: 1\nmodel name\t: Other\n";
         assert_eq!(cpu_model(text).as_deref(), Some("Example CPU @ 2.00GHz"));
         assert_eq!(cpu_model("processor\t: 0\n"), None);
+    }
+
+    fn entry(git_rev: &str) -> BenchLogEntry {
+        BenchLogEntry {
+            timestamp: 1,
+            git_rev: git_rev.to_owned(),
+            jobs: 1,
+            ops: 300,
+            host: Host {
+                cpu: "Example CPU".to_owned(),
+                parallelism: 2,
+            },
+            targets: vec![TargetSeconds {
+                target: "grid".to_owned(),
+                seconds: 1.5,
+            }],
+            total_seconds: 1.5,
+            failures: Vec::new(),
+        }
+    }
+
+    fn scratch_log(tag: &str) -> String {
+        let path =
+            std::env::temp_dir().join(format!("itesp-bench-log-{tag}-{}.json", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        path.to_str().expect("utf-8 temp path").to_owned()
+    }
+
+    #[test]
+    fn a_truncated_log_is_left_byte_for_byte_untouched() {
+        let path = scratch_log("torn");
+        update_bench_log(&path, &entry("abc")).unwrap();
+        update_bench_log(&path, &entry("def")).unwrap();
+        let full = std::fs::read(&path).unwrap();
+        let torn = &full[..full.len() / 2];
+        std::fs::write(&path, torn).unwrap();
+
+        let err = update_bench_log(&path, &entry("ghi")).unwrap_err();
+        assert!(matches!(err, BenchLogError::Corrupt(_)), "{err}");
+        assert!(err.to_string().contains("left untouched"), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), torn);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn updating_a_log_appends_new_keys_and_replaces_same_keys() {
+        let path = scratch_log("update");
+        assert_eq!(update_bench_log(&path, &entry("abc")).unwrap(), 0);
+        assert_eq!(update_bench_log(&path, &entry("def")).unwrap(), 0);
+        assert_eq!(update_bench_log(&path, &entry("abc")).unwrap(), 1);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let revs: Vec<String> = split_array_elements(&text)
+            .unwrap()
+            .iter()
+            .map(|e| entry_key(e).unwrap().0)
+            .collect();
+        assert_eq!(revs, ["def", "abc"]);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -130,12 +130,12 @@ impl<T> Campaign<T> {
         self.rows.iter().all(Option::is_some)
     }
 
-    /// Unwrap the full row set, or report what failed and exit
-    /// nonzero. Completed jobs stay checkpointed, so the printed advice
-    /// — rerun with `--resume` — only recomputes what is missing.
-    pub fn into_rows_or_exit(self) -> Vec<T> {
+    /// The full row set, or `None` after reporting what failed.
+    /// Completed jobs stay checkpointed, so the printed advice — rerun
+    /// with `--resume` — only recomputes what is missing.
+    pub fn into_rows(self) -> Option<Vec<T>> {
         if self.is_complete() {
-            return self.rows.into_iter().flatten().collect();
+            return Some(self.rows.into_iter().flatten().collect());
         }
         let n = self.rows.len();
         if !self.skipped.is_empty() {
@@ -151,11 +151,18 @@ impl<T> Campaign<T> {
             self.target,
             self.failures.len(),
         );
-        std::process::exit(1);
+        None
+    }
+
+    /// [`Campaign::into_rows`], exiting nonzero when a job failed.
+    pub fn into_rows_or_exit(self) -> Vec<T> {
+        self.into_rows().unwrap_or_else(|| std::process::exit(1))
     }
 }
 
-/// The replay command for one failed job of one target.
+/// The replay command for one failed job of one target. A dotted
+/// target (`figras.ras`, `run_all.grid`) is a campaign of the binary
+/// named before the dot.
 fn replay_line(target: &str, job: usize, ops: usize) -> String {
     let bin = target.split('.').next().unwrap_or(target);
     format!(

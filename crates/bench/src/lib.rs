@@ -6,18 +6,23 @@
 //! Criterion microbenchmarks of the core data structures in `benches/`.
 //!
 //! Each regenerator prints the paper-style rows and writes a JSON dump
-//! under `results/`. Trace length defaults keep a full figure under a
+//! under `results/`. The nine grid figures (see [`grid`]) fold over one
+//! shared [`RunSet`] of fault-free runs, each distinct run simulated
+//! once. Trace length defaults keep a full figure under a
 //! few minutes; set `ITESP_OPS` to raise it (the paper uses 5 M
 //! operations per program — relative results are stable far below that).
 
 pub mod campaign;
 pub mod checkpoint;
 pub mod drill;
+pub mod grid;
 pub mod orchestrate;
+pub mod runset;
 
 pub use campaign::{run_campaign, run_campaign_with, Campaign, CampaignOptions, FailureRecord};
 pub use checkpoint::Checkpoint;
 pub use orchestrate::{run_isolated, JobOutcome, JobPolicy};
+pub use runset::{RunKey, RunSet};
 
 use std::collections::HashMap;
 use std::fs;
@@ -401,9 +406,9 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
 /// (crash-safe: temp file + atomic rename, so a kill mid-save leaves
 /// the previous dump intact, never a truncated one).
 ///
-/// After a durable save the target's checkpoints (and any
-/// `<name>.<sub>` sub-sweep checkpoints) are cleared — they have served
-/// their purpose.
+/// After a durable save the target's checkpoints (and those of any
+/// `<name>.<sub>` campaign, such as `figras.ras`) are cleared — they
+/// have served their purpose.
 pub fn save_json<T: Serialize>(name: &str, value: &T) {
     let dir = results_dir_from_env();
     if let Err(e) = fs::create_dir_all(&dir) {
@@ -424,7 +429,7 @@ pub fn save_json<T: Serialize>(name: &str, value: &T) {
 }
 
 /// Remove checkpoint files belonging to `name` (exactly, or any
-/// `name.<sub>` sub-sweep) once the final results are durably saved.
+/// `name.<sub>` campaign) once the final results are durably saved.
 fn clear_checkpoints(results_dir: &Path, name: &str) {
     let Ok(entries) = fs::read_dir(checkpoint::ckpt_dir(results_dir)) else {
         return;

@@ -12,6 +12,7 @@
 
 use itesp_snap::{Persist, SnapError, SnapReader, SnapWriter};
 use serde::{Deserialize, Serialize};
+use serde_json::FromValue;
 
 /// Outcome of a cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,7 +32,7 @@ struct Line {
 }
 
 /// Aggregate statistics for one cache (or one partition).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize, Persist)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize, FromValue, Persist)]
 pub struct CacheStats {
     pub accesses: u64,
     pub hits: u64,

@@ -22,6 +22,7 @@
 
 use itesp_snap::{Persist, SnapError, SnapReader, SnapWriter};
 use serde::{Deserialize, Serialize};
+use serde_json::FromValue;
 
 use crate::cache::CacheStats;
 use crate::error::EngineConfigError;
@@ -296,7 +297,7 @@ impl EngineConfig {
 }
 
 /// Traffic and classification statistics for one run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize, Persist)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize, FromValue, Persist)]
 pub struct EngineStats {
     pub data_reads: u64,
     pub data_writes: u64,

@@ -2,6 +2,7 @@
 
 use itesp_snap::Persist;
 use serde::{Deserialize, Serialize};
+use serde_json::FromValue;
 
 use crate::address::DecodedAddr;
 
@@ -94,7 +95,9 @@ impl Completion {
 
 /// Aggregate event counts for one channel, consumed by the power model
 /// and the figure regenerators.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize, Persist)]
+#[derive(
+    Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize, FromValue, Persist,
+)]
 pub struct ChannelStats {
     pub reads: u64,
     pub writes: u64,

@@ -6,12 +6,13 @@
 //! Used to reproduce the memory-energy and EDP trends of Figure 10/12/13.
 
 use serde::{Deserialize, Serialize};
+use serde_json::FromValue;
 
 use crate::command::ChannelStats;
 use crate::config::{DramConfig, PowerParams};
 
 /// Energy breakdown for one simulation run, in nanojoules.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize, FromValue)]
 pub struct EnergyBreakdown {
     pub activate_nj: f64,
     pub read_nj: f64,

@@ -19,7 +19,7 @@ use crate::stats::RunResult;
 use crate::system::{System, SystemConfig};
 
 /// Parameters of one experiment run.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ExperimentParams {
     pub scheme: Scheme,
     /// Program copies = cores = enclaves.

@@ -42,6 +42,7 @@ use itesp_snap::{Persist, SnapError, SnapReader, SnapWriter};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use serde_json::FromValue;
 
 use itesp_core::mac::{mac_block, MacKey};
 use itesp_dram::AddressDecoder;
@@ -140,7 +141,7 @@ impl RasConfig {
 
 /// Everything the RAS pipeline measured in one run; attached to
 /// [`RunResult`](crate::RunResult) (all zeros when RAS was off).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize, Persist)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize, FromValue, Persist)]
 pub struct RasStats {
     /// Random faults planted by the Poisson process.
     pub faults_injected: u64,
