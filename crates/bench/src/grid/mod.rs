@@ -129,7 +129,15 @@ mod tests {
     fn synthetic(i: usize) -> RunResult {
         let mut r = RunResult {
             cycles: 1_000 + i as u64,
-            ..RunResult::default()
+            core_finish: Vec::new(),
+            engine: Default::default(),
+            metadata_cache: Default::default(),
+            parity_cache: Default::default(),
+            dram: Default::default(),
+            energy: Default::default(),
+            drained_writes: 0,
+            ras: Default::default(),
+            churn: Default::default(),
         };
         r.engine.data_reads = 100 + i as u64;
         r.energy.read_nj = 1.0 + i as f64;

@@ -8,9 +8,9 @@
 //! Each regenerator prints the paper-style rows and writes a JSON dump
 //! under `results/`. The nine grid figures (see [`grid`]) fold over one
 //! shared [`RunSet`] of fault-free runs, each distinct run simulated
-//! once. Trace length defaults keep a full figure under a
-//! few minutes; set `ITESP_OPS` to raise it (the paper uses 5 M
-//! operations per program — relative results are stable far below that).
+//! once. Trace length defaults keep a full figure under a few minutes;
+//! set `ITESP_OPS` to raise it (the paper uses 5 M operations per
+//! program — relative results are stable far below that).
 
 pub mod campaign;
 pub mod checkpoint;

@@ -27,7 +27,7 @@ pub type RunKey = (&'static str, ExperimentParams);
 
 /// One campaign job: a benchmark's trace at one copy count and length,
 /// and the distinct parameter sets to run on it.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct TraceGroup {
     pub benchmark: &'static str,
     pub copies: usize,
@@ -58,7 +58,7 @@ pub fn trace_groups(keys: &[RunKey]) -> Vec<TraceGroup> {
 }
 
 /// Fault-free run results keyed by (benchmark, parameters).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct RunSet {
     runs: HashMap<RunKey, RunResult>,
 }

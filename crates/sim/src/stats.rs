@@ -11,7 +11,7 @@ use crate::ras::RasStats;
 use crate::system::CPU_PER_DRAM_CYCLE;
 
 /// Everything measured in one simulation run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize, FromValue)]
+#[derive(Debug, Clone, Serialize, Deserialize, FromValue)]
 pub struct RunResult {
     /// Total execution time in CPU cycles (last core to finish).
     pub cycles: u64,
