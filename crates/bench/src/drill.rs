@@ -30,22 +30,31 @@ impl SnapshotConfig {
     /// Build from `ITESP_SNAPSHOT_DIR` (the checkpoint directory) and
     /// `ITESP_SNAPSHOT_EVERY` (CPU cycles between captures, default
     /// 200 000); `None` when no directory is configured (snapshots
-    /// off).
+    /// off). Exits with an error naming `ITESP_SNAPSHOT_EVERY` when it
+    /// is set but not a positive integer.
     pub fn from_env() -> Option<Self> {
         let dir = std::env::var_os("ITESP_SNAPSHOT_DIR")?;
         if dir.is_empty() {
             return None;
         }
-        let every = std::env::var("ITESP_SNAPSHOT_EVERY")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|&v| v > 0)
-            .unwrap_or(DEFAULT_SNAPSHOT_EVERY);
+        let every =
+            every_from(crate::env_var("ITESP_SNAPSHOT_EVERY").as_deref()).unwrap_or_else(|e| {
+                eprintln!("error: {e}");
+                std::process::exit(2);
+            });
         Some(SnapshotConfig {
             dir: PathBuf::from(dir),
             every,
         })
     }
+}
+
+/// The capture cadence an `ITESP_SNAPSHOT_EVERY` value asks for
+/// (unset: [`DEFAULT_SNAPSHOT_EVERY`]).
+fn every_from(value: Option<&str>) -> Result<u64, String> {
+    value.map_or(Ok(DEFAULT_SNAPSHOT_EVERY), |v| {
+        crate::positive(v, "snapshot cadence", "ITESP_SNAPSHOT_EVERY").map(|n| n as u64)
+    })
 }
 
 /// How a [`Drill::kill_when`] wait ended.
@@ -179,5 +188,20 @@ impl Drill {
             "replay from the stale snapshot diverged ({self})"
         );
         records.len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn snapshot_cadence_rejects_bad_values() {
+        assert_eq!(every_from(None), Ok(DEFAULT_SNAPSHOT_EVERY));
+        assert_eq!(every_from(Some("50000")), Ok(50_000));
+        for bad in ["0", "", "abc", "-5", "1e5"] {
+            let err = every_from(Some(bad)).unwrap_err();
+            assert!(err.contains("ITESP_SNAPSHOT_EVERY"), "{bad:?}: {err}");
+        }
     }
 }

@@ -1,5 +1,5 @@
-//! Fault-tolerant job fan-out: the mechanism under [`crate::run_jobs`]
-//! and the checkpointed campaigns.
+//! Fault-tolerant job fan-out: the mechanism under the checkpointed
+//! campaigns ([`crate::run_campaign`]).
 //!
 //! The implementation lives in [`itesp_orchestrate`] so the serving
 //! side (`itesp-serve`) shares the exact same timeout/retry/backoff

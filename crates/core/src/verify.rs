@@ -23,7 +23,7 @@
 
 use std::collections::HashMap;
 
-use crate::mac::{mac_block, mac_block_x4, siphash24_words, MacKey};
+use crate::mac::{mac_block, siphash24_words, MacKey};
 use crate::tree::{NodeId, TreeGeometry};
 
 /// Upper bound on the counter/summary words one node summary packs: no
@@ -239,7 +239,7 @@ impl VerifiedMemory {
 
     /// Verify `block`'s tree path against stored summaries, then the
     /// top level against the on-chip root (the post-MAC half of
-    /// [`read`], shared with [`read_batch`]).
+    /// [`read`]).
     fn verify_tree_path(&self, block: u64) -> Result<(), IntegrityError> {
         for node in self.geo.walk(block) {
             let expect = self.compute_summary(node);
@@ -270,42 +270,6 @@ impl VerifiedMemory {
             });
         }
         Ok(())
-    }
-
-    /// Read and verify a drained burst of four blocks, checking all
-    /// four MACs in one 4-lane [`mac_block_x4`] pass before the tree
-    /// walks — the functional counterpart of the engine's request-queue
-    /// batcher. Results are per-block and identical to four [`read`]
-    /// calls.
-    ///
-    /// # Panics
-    /// Panics if any block is out of range.
-    pub fn read_batch(&self, blocks: [u64; 4]) -> [Result<[u8; 64], IntegrityError>; 4] {
-        for &b in &blocks {
-            assert!(b < self.geo.data_blocks(), "block out of range");
-        }
-        let data: [[u8; 64]; 4] =
-            std::array::from_fn(|l| self.data.get(&blocks[l]).copied().unwrap_or([0; 64]));
-        let counters: [u64; 4] =
-            std::array::from_fn(|l| self.counters.get(&blocks[l]).copied().unwrap_or(0));
-        let stored: [u64; 4] = std::array::from_fn(|l| {
-            self.macs
-                .get(&blocks[l])
-                .copied()
-                .unwrap_or_else(|| mac_block(&self.key, &[0; 64], 0, Self::addr_of(blocks[l])))
-        });
-        let got = mac_block_x4(
-            &[self.key; 4],
-            [&data[0], &data[1], &data[2], &data[3]],
-            counters,
-            std::array::from_fn(|l| Self::addr_of(blocks[l])),
-        );
-        std::array::from_fn(|l| {
-            if got[l] != stored[l] {
-                return Err(IntegrityError::MacMismatch { block: blocks[l] });
-            }
-            self.verify_tree_path(blocks[l]).map(|()| data[l])
-        })
     }
 
     /// Does this node's subtree contain any nonzero counter?
@@ -471,37 +435,6 @@ mod tests {
         m.corrupt_data(0, 0, 1);
         assert!(m.read(0).is_err());
         assert_eq!(m.read(60_000).unwrap(), [2; 64]);
-    }
-
-    /// The 4-lane batched read returns exactly what four scalar reads
-    /// return — data, errors, and error precedence included.
-    #[test]
-    fn read_batch_matches_scalar_reads() {
-        let mut m = vm();
-        m.write(3, [0x11; 64]);
-        m.write(4096, [0x22; 64]);
-        m.write(9000, [0x33; 64]);
-        // Clean burst.
-        let blocks = [3u64, 4096, 9000, 77];
-        let batch = m.read_batch(blocks);
-        for l in 0..4 {
-            assert_eq!(batch[l], m.read(blocks[l]), "clean lane {l}");
-        }
-        // One lane tampered (MAC), one rolled back (tree): lane results
-        // must still match the scalar reads lane for lane.
-        let old = m.snapshot(9000);
-        m.write(9000, [0x44; 64]);
-        m.rollback(&old);
-        m.corrupt_data(3, 5, 0x80);
-        let batch = m.read_batch(blocks);
-        for l in 0..4 {
-            assert_eq!(batch[l], m.read(blocks[l]), "faulted lane {l}");
-        }
-        assert!(matches!(
-            batch[0],
-            Err(IntegrityError::MacMismatch { block: 3 })
-        ));
-        assert!(batch[1].is_ok());
     }
 
     #[test]

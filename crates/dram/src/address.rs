@@ -47,17 +47,6 @@ impl AddressMapping {
         AddressMapping::RowBufferHit4,
     ];
 
-    /// Number of consecutive blocks mapped to one row before the rank
-    /// bits rotate (the "row-buffer-hit run length").
-    pub fn run_length(self) -> u64 {
-        match self {
-            AddressMapping::Column => u64::MAX,
-            AddressMapping::Rank => 1,
-            AddressMapping::RowBufferHit2 => 2,
-            AddressMapping::RowBufferHit4 => 4,
-        }
-    }
-
     /// Short display label used by the figure regenerators.
     pub fn label(self) -> &'static str {
         match self {

@@ -80,10 +80,6 @@ impl Node {
         &self.mgr
     }
 
-    pub fn mgr_mut(&mut self) -> &mut EnclaveManager {
-        &mut self.mgr
-    }
-
     pub fn stats(&self) -> NodeStats {
         self.stats
     }

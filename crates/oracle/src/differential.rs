@@ -37,11 +37,14 @@
 //!   original 13-scheme oracle;
 //! * **link-level** (SecDDR) schemes must emit *no* traffic at all —
 //!   zero transactions, case A, zero stall — every single access;
-//! * **ORAM** (IRO) schemes are cross-checked against an independent
-//!   [`OramShadow`] state twin that predicts the exact bucket-path and
-//!   parity transaction list of every access, plus containment of every
+//! * **ORAM** (IRO) schemes are cross-checked against an
+//!   [`OramShadow`] that predicts the exact bucket-path and parity
+//!   transaction list of every access, plus containment of every
 //!   address in the engine's declared
-//!   [`region_span`](SecurityEngine::region_span).
+//!   [`region_span`](SecurityEngine::region_span). The shadow replays
+//!   the model's own `OramState::step`, so it checks the model's wiring
+//!   (one step per access, traffic passed through unchanged), not the
+//!   remap or eviction algorithm.
 //!
 //! Check 5 (the functional memory) runs for every family: data
 //! round-trips and monotone write counters are scheme-independent

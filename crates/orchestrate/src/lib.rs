@@ -1,17 +1,17 @@
 //! # itesp-orchestrate — fault-tolerant job execution policies
 //!
 //! The one timeout/retry/backoff implementation shared by the batch
-//! side (`itesp-bench`'s `run_jobs` fan-out and checkpointed campaigns)
-//! and the serving side (`itesp-serve`'s per-connection policies).
+//! side (`itesp-bench`'s checkpointed campaigns) and the serving side
+//! (`itesp-serve`'s per-connection policies).
 //!
 //! [`run_isolated`] fans jobs across worker threads, but each job
 //! attempt runs under `catch_unwind` (one panicking job no longer
 //! poisons the whole fan-out), optionally under a watchdog deadline,
 //! and failed attempts retry with exponential backoff. Every job
 //! resolves to a [`JobOutcome`] instead of `T`, so the caller decides
-//! what a failure costs: `run_jobs` aborts the binary, the campaign
-//! layer records it in a failure manifest and keeps going, and a serve
-//! connection turns it into a typed error frame for that client alone.
+//! what a failure costs: the campaign layer records it in a failure
+//! manifest and keeps going, and a serve connection turns it into a
+//! typed error frame for that client alone.
 //!
 //! [`run_policied`] is the single-job entry point: one attempt chain
 //! under the same policy, for callers (shard workers, connection

@@ -186,12 +186,6 @@ impl Server {
         Ok(())
     }
 
-    /// Programmatic drain trigger (tests; the metrics `D` command and
-    /// SIGTERM land on the same flag).
-    pub fn trigger_drain(&self) {
-        self.draining.store(true, Ordering::SeqCst);
-    }
-
     /// Serve until drained. Returns once the drain snapshot is durable.
     ///
     /// # Errors
