@@ -174,7 +174,10 @@ fn live_cluster_drill(drill: Drill, ops: usize, expect: &str) -> (ClusterStats, 
         );
     }
     let frozen = cluster.inflight()[0].tenant;
-    let stale = cluster.inflight_blob(frozen).expect("transfer in flight");
+    let stale = cluster
+        .inflight_blob(frozen)
+        .expect("transfer in flight")
+        .to_vec();
     let stale_epoch = peek_header(&stale).expect("blob header decodes").epoch;
 
     cluster

@@ -37,7 +37,7 @@ use itesp_snap::{
     Persist, SnapError, SnapReader, SnapWriter, SnapshotMeta, SnapshotSink, StoreError,
 };
 use itesp_trace::record::page_of;
-use itesp_trace::{MemOp, PAGE_BYTES};
+use itesp_trace::PAGE_BYTES;
 
 use crate::directory::{Directory, Residence};
 use crate::error::MigrateError;
@@ -234,11 +234,11 @@ impl Cluster {
 
     /// The wire blob of an in-flight migration (for drills that
     /// capture and replay it).
-    pub fn inflight_blob(&self, tenant: u64) -> Option<Vec<u8>> {
+    pub fn inflight_blob(&self, tenant: u64) -> Option<&[u8]> {
         self.inflight
             .iter()
             .find(|t| t.tenant == tenant)
-            .map(|t| t.blob.clone())
+            .map(|t| t.blob.as_slice())
     }
 
     /// Has every tenant finished and every transfer landed?
@@ -519,35 +519,45 @@ impl Cluster {
         }
     }
 
+    /// Put one frame of every transfer on the wire and try to commit
+    /// those whose last frame has landed. Frame bytes are counted from
+    /// the blob length; the blob is framed and reassembled once, on
+    /// the tick its last frame lands.
     fn advance_transfers(&mut self) -> Result<(), MigrateError> {
+        let payload = self.cfg.frame_payload;
         let mut i = 0;
         while i < self.inflight.len() {
-            let frames = proto::frames(&self.inflight[i].blob, self.cfg.frame_payload);
-            if self.inflight[i].sent < frames.len() {
-                let frame_len = frames[self.inflight[i].sent].len() as u64;
-                self.inflight[i].sent += 1;
-                let from = self.inflight[i].from;
-                self.nodes[from].stats_mut().transfer_bytes += frame_len;
+            let t = &mut self.inflight[i];
+            let total = proto::frame_count(t.blob.len(), payload);
+            if t.sent < total {
+                let frame_len = proto::frame_len(t.blob.len(), payload, t.sent) as u64;
+                t.sent += 1;
+                self.nodes[t.from].stats_mut().transfer_bytes += frame_len;
+                if t.sent < total {
+                    i += 1;
+                    continue;
+                }
+                let blob = proto::reassemble(&proto::frames(&t.blob, payload))?;
+                debug_assert_eq!(blob, t.blob);
             }
-            if self.inflight[i].sent < frames.len() {
-                i += 1;
-                continue;
-            }
-            // All frames on the wire: reassemble and commit.
-            let t = self.inflight[i].clone();
-            let blob = proto::reassemble(&frames)?;
-            debug_assert_eq!(blob, t.blob);
+            // All frames on the wire: commit. The blob is lent to the
+            // destination and put back if it refuses.
             self.check_store_fresh()?;
-            match self.deliver_blob(t.to, &blob) {
+            let to = self.inflight[i].to;
+            let blob = std::mem::take(&mut self.inflight[i].blob);
+            match self.deliver_blob(to, &blob) {
                 Ok(()) => {
                     self.inflight.remove(i);
                 }
-                Err(MigrateError::NoFreeSlot { .. }) => {
+                Err(e) => {
+                    self.inflight[i].blob = blob;
+                    if !matches!(e, MigrateError::NoFreeSlot { .. }) {
+                        return Err(e);
+                    }
                     // Destination transiently full (a resident hasn't
                     // finished yet): hold the commit, retry next tick.
                     i += 1;
                 }
-                Err(e) => return Err(e),
             }
         }
         Ok(())
@@ -614,10 +624,10 @@ impl Cluster {
             self.finalize(tenant, node, slot);
             return;
         }
-        let rec = script.records[pos];
-        let is_write = rec.op == MemOp::Write;
+        let op = script.records[pos];
+        let is_write = op.is_write();
         let n = &mut self.nodes[node];
-        let (paddr, block, _) = n.access(slot, rec.vaddr, is_write);
+        let (paddr, block, _) = n.access(slot, op.vaddr(), is_write);
         // The access itself, through the node's engine.
         n.engine_mut().on_access(slot, paddr, block, is_write);
         let ledger = &mut self.tenants[tenant].ledger;

@@ -42,4 +42,4 @@ pub use error::MigrateError;
 pub use ledger::{counter_checksum, fault_rng_seed, xorshift64, TenantFinal, TenantLedger};
 pub use node::{node_config, Node, NodeStats};
 pub use proto::{frames, peek_header, reassemble, BlobHeader, FRAME_HEADER};
-pub use workload::{ClusterWorkload, TenantScript};
+pub use workload::{ClusterWorkload, ScriptOp, TenantScript};

@@ -86,10 +86,24 @@ pub(crate) fn decode_blob(blob: &[u8]) -> Result<(Enclave, TenantLedger), Migrat
     Ok((enc, ledger))
 }
 
+/// Transfer frames a blob of `len` bytes spans at `payload` bytes per
+/// frame (`payload` 0 counts as 1): an empty blob still sends one.
+pub(crate) fn frame_count(len: usize, payload: usize) -> usize {
+    len.div_ceil(payload.max(1)).max(1)
+}
+
+/// Wire length of frame `i` of a blob of `len` bytes — what
+/// `frames(blob, payload)[i].len()` is, without building any frame.
+pub(crate) fn frame_len(len: usize, payload: usize, i: usize) -> usize {
+    debug_assert!(i < frame_count(len, payload), "frame {i} past the end");
+    let payload = payload.max(1);
+    FRAME_HEADER + payload.min(len - i * payload)
+}
+
 /// Chunk a blob into transfer frames of at most `payload` bytes each.
 pub fn frames(blob: &[u8], payload: usize) -> Vec<Vec<u8>> {
     let payload = payload.max(1);
-    let total = blob.len().div_ceil(payload).max(1) as u32;
+    let total = frame_count(blob.len(), payload) as u32;
     let mut out = Vec::with_capacity(total as usize);
     for (i, chunk) in blob.chunks(payload).enumerate() {
         let mut f = Vec::with_capacity(FRAME_HEADER + chunk.len());
@@ -174,6 +188,24 @@ mod tests {
         let mut bad = fs;
         bad[0][0] = b'X';
         assert!(matches!(reassemble(&bad), Err(MigrateError::BadFrame(_))));
+    }
+
+    #[test]
+    fn frame_arithmetic_matches_built_frames() {
+        for len in [0, 1, 95, 96, 97, 10_790] {
+            let blob: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            for payload in [0, 1, 96, 4096] {
+                let fs = frames(&blob, payload);
+                assert_eq!(frame_count(len, payload), fs.len(), "{len} / {payload}");
+                for (i, f) in fs.iter().enumerate() {
+                    assert_eq!(
+                        frame_len(len, payload, i),
+                        f.len(),
+                        "{len} / {payload} #{i}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

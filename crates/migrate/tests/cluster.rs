@@ -6,7 +6,7 @@ use std::path::PathBuf;
 
 use itesp_core::Scheme;
 use itesp_migrate::{
-    peek_header, Cluster, ClusterConfig, ClusterWorkload, MigrateError, Residence,
+    frames, peek_header, Cluster, ClusterConfig, ClusterWorkload, MigrateError, Residence,
 };
 use itesp_snap::SnapWriter;
 use itesp_trace::{benchmark, ChurnConfig, ChurnWorkload};
@@ -88,7 +88,10 @@ fn stale_blob_replay_is_rejected_on_every_node() {
         cluster.step().unwrap();
     }
     cluster.start_migration(0, 1).unwrap();
-    let stale = cluster.inflight_blob(0).expect("transfer in flight");
+    let stale = cluster
+        .inflight_blob(0)
+        .expect("transfer in flight")
+        .to_vec();
 
     // A fresh copy delivered to the *wrong* node is refused.
     assert!(matches!(
@@ -131,7 +134,7 @@ fn config_fingerprint_gates_foreign_blobs() {
         donor.step().unwrap();
     }
     donor.start_migration(0, 1).unwrap();
-    let foreign = donor.inflight_blob(0).unwrap();
+    let foreign = donor.inflight_blob(0).unwrap().to_vec();
 
     let mut cluster = Cluster::new(ClusterConfig::small(2, 3, Scheme::Itesp), wl);
     while cluster.directory().entry(0).is_none() {
@@ -162,8 +165,8 @@ fn malformed_blobs_are_refused_without_a_trace() {
     let to0 = (home0 + 1) % 3;
     cluster.start_migration(0, to0).unwrap();
     cluster.start_migration(1, (home1 + 1) % 3).unwrap();
-    let blob0 = cluster.inflight_blob(0).unwrap();
-    let blob1 = cluster.inflight_blob(1).unwrap();
+    let blob0 = cluster.inflight_blob(0).unwrap().to_vec();
+    let blob1 = cluster.inflight_blob(1).unwrap().to_vec();
     let header_len = {
         let mut w = SnapWriter::new();
         w.put(&peek_header(&blob0).unwrap());
@@ -207,6 +210,70 @@ fn malformed_blobs_are_refused_without_a_trace() {
         (2, Residence::Live { node: to0 })
     );
     cluster.run_to_completion().unwrap();
+}
+
+/// A commit held on a full destination retries every tick with the
+/// blob it captured: the in-flight bytes never change while it waits,
+/// it commits exactly once, and the tenants still match the 1-node
+/// reference byte for byte.
+#[test]
+fn a_held_commit_retries_with_the_same_blob() {
+    let mut wl = workload(0x4E1D);
+    // Tenant 1 arrives one tick after tenant 0's migration starts and
+    // takes the destination's only slot before the transfer lands.
+    const START: u64 = 50;
+    let mut scripts = wl.tenants.to_vec();
+    scripts[0].arrival = 0;
+    for s in &mut scripts[1..] {
+        s.arrival = s.arrival.max(START + 1);
+    }
+    scripts[1].arrival = START + 1;
+    wl.tenants = scripts.into();
+
+    let mut reference = Cluster::new(
+        ClusterConfig::small(1, wl.tenant_count(), Scheme::Itesp),
+        wl.clone(),
+    );
+    reference.run_to_completion().unwrap();
+
+    let cfg = ClusterConfig::small(2, 1, Scheme::Itesp);
+    let mut cluster = Cluster::new(cfg, wl);
+    while cluster.tick() < START {
+        cluster.step().unwrap();
+    }
+    assert_eq!(
+        cluster.directory().entry(0).unwrap().residence,
+        Residence::Live { node: 0 }
+    );
+    cluster.start_migration(0, 1).unwrap();
+    let blob = cluster.inflight_blob(0).unwrap().to_vec();
+    let total = frames(&blob, cfg.frame_payload).len();
+    let mut retries = 0;
+    loop {
+        cluster.step().unwrap();
+        let Some(held) = cluster.inflight_blob(0) else {
+            break;
+        };
+        assert_eq!(
+            held,
+            blob,
+            "in-flight blob changed at tick {}",
+            cluster.tick()
+        );
+        retries += usize::from(cluster.inflight()[0].sent == total);
+    }
+    assert!(
+        retries > 100,
+        "the commit was held for only {retries} ticks"
+    );
+    assert_eq!(cluster.stats().migrations_committed, 1);
+    assert_eq!(
+        cluster.directory().entry(0).unwrap().residence,
+        Residence::Live { node: 1 }
+    );
+    cluster.run_to_completion().unwrap();
+    assert_eq!(cluster.stats().migrations_committed, 1);
+    assert_eq!(cluster.tenants_json(), reference.tenants_json());
 }
 
 /// Crash-recovery equivalence: snapshots taken mid-run (including the

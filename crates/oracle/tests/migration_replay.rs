@@ -74,7 +74,7 @@ fn cross_node_migration_replay_is_rejected_everywhere() {
             let first_hop = (home + 1) % NODES;
             c.start_migration(0, first_hop)
                 .unwrap_or_else(|e| panic!("migration refused: {e} (seed {seed})"));
-            let stale = c.inflight_blob(0).expect("transfer in flight");
+            let stale = c.inflight_blob(0).expect("transfer in flight").to_vec();
             let header = peek_header(&stale).expect("blob header decodes");
             assert_eq!(header.tenant, 0, "seed {seed}");
             assert_eq!(
@@ -132,7 +132,10 @@ fn cross_node_migration_replay_is_rejected_everywhere() {
                 .unwrap_or_else(|| panic!("no node can take the second hop (seed {seed})"));
             c.start_migration(0, second_hop)
                 .unwrap_or_else(|e| panic!("second migration refused: {e} (seed {seed})"));
-            let second = c.inflight_blob(0).expect("second transfer in flight");
+            let second = c
+                .inflight_blob(0)
+                .expect("second transfer in flight")
+                .to_vec();
             assert_eq!(peek_header(&second).unwrap().epoch, 2, "seed {seed}");
             while c.inflight_blob(0).is_some() {
                 c.step()

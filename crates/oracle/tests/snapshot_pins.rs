@@ -192,7 +192,7 @@ fn cluster_pins() -> Vec<(String, u32, usize)> {
     c.save_state(&mut w);
     vec![
         pin(format!("CLUS tick {}", c.tick()), &w.into_bytes()),
-        pin(format!("MIGB tenant {tenant}"), &blob),
+        pin(format!("MIGB tenant {tenant}"), blob),
     ]
 }
 
