@@ -4,7 +4,7 @@
 //! A *campaign* is one figure target's fan-out of `n` deterministic
 //! jobs. [`run_campaign`] loads the target's [`Checkpoint`] (honoring
 //! `--resume`), runs only the pending jobs via
-//! [`run_isolated`](crate::orchestrate::run_isolated), persists each
+//! [`run_isolated`](itesp_orchestrate::run_isolated), persists each
 //! result row as it completes, and returns a [`Campaign`] holding the
 //! merged rows plus a [`FailureRecord`] per failed job. Failures are
 //! written to `results/.ckpt/<target>.failures.json` and echoed with an
@@ -23,7 +23,7 @@ use serde::Serialize;
 use serde_json::FromValue;
 
 use crate::checkpoint::{ckpt_dir, Checkpoint};
-use crate::orchestrate::{run_isolated, JobOutcome, JobPolicy};
+use itesp_orchestrate::{run_isolated, JobOutcome, JobPolicy};
 
 /// Everything a campaign needs to know, resolved once from CLI/env by
 /// [`CampaignOptions::from_env`] — or built directly in tests, which

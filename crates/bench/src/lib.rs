@@ -16,12 +16,10 @@ pub mod campaign;
 pub mod checkpoint;
 pub mod drill;
 pub mod grid;
-pub mod orchestrate;
 pub mod runset;
 
 pub use campaign::{run_campaign, run_campaign_with, Campaign, CampaignOptions, FailureRecord};
 pub use checkpoint::Checkpoint;
-pub use orchestrate::{run_isolated, JobOutcome, JobPolicy};
 pub use runset::{RunKey, RunSet};
 
 use std::collections::HashMap;

@@ -7,9 +7,8 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use itesp_bench::{
-    run_campaign_with, run_isolated, Campaign, CampaignOptions, JobOutcome, JobPolicy,
-};
+use itesp_bench::{run_campaign_with, Campaign, CampaignOptions};
+use itesp_orchestrate::{run_isolated, JobOutcome, JobPolicy};
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(

@@ -371,15 +371,6 @@ impl SecurityEngine {
         })
     }
 
-    /// Enable or disable the ancestor-memo fast path. Disabling also
-    /// drops every memoized path, so the next access per partition
-    /// performs the full scalar walk — the mode the lockstep
-    /// equivalence tests compare against. No-op for families without
-    /// a tree walk.
-    pub fn set_tree_memo(&mut self, enabled: bool) {
-        self.model.set_tree_memo(enabled);
-    }
-
     pub fn config(&self) -> &EngineConfig {
         &self.cfg
     }

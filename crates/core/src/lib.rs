@@ -43,7 +43,7 @@ pub use engine::{
     AccessOutcome, EngineConfig, EngineStats, MetaAccess, MetaKind, MissCase, SecurityEngine,
 };
 pub use error::{EngineConfigError, Error};
-pub use mac::{hash_node, mac_block, mac_block_x4, siphash24, siphash24_batch, MacKey};
+pub use mac::{hash_node, mac_block, siphash24, MacKey};
 pub use model::{
     build_model, LinkLevelModel, OramLayout, OramModel, OramShadow, SchemeModel, TreeWalkModel,
 };

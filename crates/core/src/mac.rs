@@ -92,9 +92,8 @@ pub fn siphash24(key: &MacKey, msg: &[u8]) -> u64 {
     v0 ^ v1 ^ v2 ^ v3
 }
 
-/// One SipHash round applied to a single lane's `[v0, v1, v2, v3]`
-/// state — the scalar twin of the 4-lane round in [`siphash24_batch`],
-/// used to drain ragged per-lane tails.
+/// One SipHash round over a `[v0, v1, v2, v3]` state, for
+/// [`siphash24_words`].
 #[inline(always)]
 fn sipround(v: &mut [u64; 4]) {
     v[0] = v[0].wrapping_add(v[1]);
@@ -111,116 +110,6 @@ fn sipround(v: &mut [u64; 4]) {
     v[1] = v[1].rotate_left(17);
     v[1] ^= v[2];
     v[2] = v[2].rotate_left(32);
-}
-
-/// One SipHash round applied to four independent lanes at once. The
-/// state is carried structure-of-arrays (`v0[lane]`, ...) so every
-/// operation is four independent u64 ops — the shape LLVM turns into
-/// full-width vector instructions on stable Rust, no `std::simd`
-/// needed.
-#[inline(always)]
-fn sipround4(v0: &mut [u64; 4], v1: &mut [u64; 4], v2: &mut [u64; 4], v3: &mut [u64; 4]) {
-    for l in 0..4 {
-        v0[l] = v0[l].wrapping_add(v1[l]);
-        v1[l] = v1[l].rotate_left(13);
-        v1[l] ^= v0[l];
-        v0[l] = v0[l].rotate_left(32);
-        v2[l] = v2[l].wrapping_add(v3[l]);
-        v3[l] = v3[l].rotate_left(16);
-        v3[l] ^= v2[l];
-        v0[l] = v0[l].wrapping_add(v3[l]);
-        v3[l] = v3[l].rotate_left(21);
-        v3[l] ^= v0[l];
-        v2[l] = v2[l].wrapping_add(v1[l]);
-        v1[l] = v1[l].rotate_left(17);
-        v1[l] ^= v2[l];
-        v2[l] = v2[l].rotate_left(32);
-    }
-}
-
-/// Compression word `w` of a message: full little-endian words followed
-/// by the padded final block (remainder bytes, length in the top byte)
-/// — exactly the word stream [`siphash24`] consumes.
-#[inline(always)]
-fn message_word(msg: &[u8], w: usize) -> u64 {
-    let full = msg.len() / 8;
-    if w < full {
-        u64::from_le_bytes(msg[w * 8..w * 8 + 8].try_into().expect("8-byte word"))
-    } else {
-        debug_assert_eq!(w, full, "word index past the final block");
-        let rem = &msg[full * 8..];
-        let mut last = [0u8; 8];
-        last[..rem.len()].copy_from_slice(rem);
-        last[7] = msg.len() as u8;
-        u64::from_le_bytes(last)
-    }
-}
-
-/// Four independent SipHash-2-4 computations in one pass.
-///
-/// Lane `l` hashes `msgs[l]` under `keys[l]`; the result matches
-/// [`siphash24`] lane for lane. All four lane states advance through
-/// each compression round together in `[u64; 4]` arrays (explicit
-/// lanes on stable Rust). Messages may have *ragged* lengths: lanes
-/// run in lockstep while every lane still has words, then each
-/// finished lane drains its tail and finalizes with the scalar-twin
-/// round. Equal-length messages — the [`mac_block_x4`] case, always
-/// 80 bytes — stay in lockstep end to end.
-pub fn siphash24_batch(keys: &[MacKey; 4], msgs: [&[u8]; 4]) -> [u64; 4] {
-    let mut v0 = [0u64; 4];
-    let mut v1 = [0u64; 4];
-    let mut v2 = [0u64; 4];
-    let mut v3 = [0u64; 4];
-    for l in 0..4 {
-        v0[l] = 0x736f_6d65_7073_6575u64 ^ keys[l].k0;
-        v1[l] = 0x646f_7261_6e64_6f6du64 ^ keys[l].k1;
-        v2[l] = 0x6c79_6765_6e65_7261u64 ^ keys[l].k0;
-        v3[l] = 0x7465_6462_7974_6573u64 ^ keys[l].k1;
-    }
-
-    // Words per lane, final padded block included.
-    let words: [usize; 4] = std::array::from_fn(|l| msgs[l].len() / 8 + 1);
-    let lockstep = *words.iter().min().expect("four lanes");
-    for w in 0..lockstep {
-        let m: [u64; 4] = std::array::from_fn(|l| message_word(msgs[l], w));
-        for l in 0..4 {
-            v3[l] ^= m[l];
-        }
-        sipround4(&mut v0, &mut v1, &mut v2, &mut v3);
-        sipround4(&mut v0, &mut v1, &mut v2, &mut v3);
-        for l in 0..4 {
-            v0[l] ^= m[l];
-        }
-    }
-
-    if words.iter().all(|&n| n == lockstep) {
-        // Equal lengths: finalize all four lanes together.
-        for v in v2.iter_mut() {
-            *v ^= 0xff;
-        }
-        for _ in 0..4 {
-            sipround4(&mut v0, &mut v1, &mut v2, &mut v3);
-        }
-        std::array::from_fn(|l| v0[l] ^ v1[l] ^ v2[l] ^ v3[l])
-    } else {
-        // Ragged tails: drain each lane's remaining words and finalize
-        // it independently.
-        std::array::from_fn(|l| {
-            let mut v = [v0[l], v1[l], v2[l], v3[l]];
-            for w in lockstep..words[l] {
-                let m = message_word(msgs[l], w);
-                v[3] ^= m;
-                sipround(&mut v);
-                sipround(&mut v);
-                v[0] ^= m;
-            }
-            v[2] ^= 0xff;
-            for _ in 0..4 {
-                sipround(&mut v);
-            }
-            v[0] ^ v[1] ^ v[2] ^ v[3]
-        })
-    }
 }
 
 /// SipHash-2-4 over a message of whole little-endian u64 words, without
@@ -267,28 +156,6 @@ pub fn mac_block(key: &MacKey, data: &[u8; 64], counter: u64, addr: u64) -> u64 
     siphash24(key, &msg)
 }
 
-/// Four [`mac_block`] computations in one 4-lane pass. Every lane's
-/// message is the same 80-byte layout, so the lanes stay in lockstep
-/// through the whole hash — this is the unit the reliability engine's
-/// trial-correction loop and the batched verifier drain bursts with.
-pub fn mac_block_x4(
-    keys: &[MacKey; 4],
-    data: [&[u8; 64]; 4],
-    counters: [u64; 4],
-    addrs: [u64; 4],
-) -> [u64; 4] {
-    let mut bufs = [[0u8; 80]; 4];
-    for l in 0..4 {
-        bufs[l][..64].copy_from_slice(data[l]);
-        bufs[l][64..72].copy_from_slice(&counters[l].to_le_bytes());
-        bufs[l][72..80].copy_from_slice(&addrs[l].to_le_bytes());
-    }
-    siphash24_batch(
-        keys,
-        [&bufs[0][..], &bufs[1][..], &bufs[2][..], &bufs[3][..]],
-    )
-}
-
 /// Compute the hash stored in a tree node: `Hash = g(node, parent_counter,
 /// key)` (Section III-F). The parity words inside an ITESP leaf are part
 /// of `node_bytes` — "padding before the leaf node is sent through the
@@ -324,8 +191,7 @@ mod tests {
 
     /// Official SipHash-2-4 test vectors: key 000102...0f, message
     /// prefixes of 00 01 02 ... — all 64 entries of the reference
-    /// implementation's `vectors_sip64` table. Shared by the scalar and
-    /// 4-lane batch paths.
+    /// implementation's `vectors_sip64` table.
     const SIP64_VECTORS: [u64; 64] = [
         0x726f_db47_dd0e_0e31,
         0x74f8_39c5_93dc_67fd,
@@ -402,111 +268,6 @@ mod tests {
                 siphash24(&key, &msg[..len]),
                 *want,
                 "vector mismatch at len {len}"
-            );
-        }
-    }
-
-    /// The 4-lane batch must reproduce every official vector, with
-    /// equal-length lanes (the fully-lockstep path).
-    #[test]
-    fn siphash_batch_reference_vectors_equal_lanes() {
-        let key = reference_key();
-        let keys = [key; 4];
-        let msg: Vec<u8> = (0u8..64).collect();
-        for (len, want) in SIP64_VECTORS.iter().enumerate() {
-            let got = siphash24_batch(&keys, [&msg[..len]; 4]);
-            assert_eq!(got, [*want; 4], "equal-lane mismatch at len {len}");
-        }
-    }
-
-    /// The 4-lane batch must reproduce every official vector with
-    /// *ragged* per-lane lengths: every length 0..64 appears in some
-    /// lane alongside three deliberately different lengths, exercising
-    /// the lockstep-prefix + scalar-tail split.
-    #[test]
-    fn siphash_batch_reference_vectors_ragged_lanes() {
-        let key = reference_key();
-        let keys = [key; 4];
-        let msg: Vec<u8> = (0u8..64).collect();
-        for len in 0..SIP64_VECTORS.len() {
-            let lens = [len, (len + 1) % 64, (len + 17) % 64, (len + 40) % 64];
-            let msgs: [&[u8]; 4] = [
-                &msg[..lens[0]],
-                &msg[..lens[1]],
-                &msg[..lens[2]],
-                &msg[..lens[3]],
-            ];
-            let got = siphash24_batch(&keys, msgs);
-            for l in 0..4 {
-                assert_eq!(
-                    got[l], SIP64_VECTORS[lens[l]],
-                    "ragged mismatch, lane {l} len {} (base {len})",
-                    lens[l]
-                );
-            }
-        }
-    }
-
-    /// Batch lanes are fully independent: distinct keys and messages
-    /// per lane must each match the scalar twin, across word-boundary
-    /// tail lengths (0 and 7 mod 8 included).
-    #[test]
-    fn siphash_batch_matches_scalar_with_distinct_keys() {
-        let keys = [
-            MacKey::derive(1, 0),
-            MacKey::derive(2, 1),
-            MacKey::derive(3, 2),
-            MacKey::derive(4, 3),
-        ];
-        let msg: Vec<u8> = (0..=255u8).map(|b| b.wrapping_mul(31) ^ 0x5A).collect();
-        for base in [0usize, 1, 7, 8, 9, 63, 64, 65, 120] {
-            let lens = [base, base + 3, base + 8, base + 15];
-            let msgs: [&[u8]; 4] = [
-                &msg[..lens[0]],
-                &msg[..lens[1]],
-                &msg[..lens[2]],
-                &msg[..lens[3]],
-            ];
-            let got = siphash24_batch(&keys, msgs);
-            for l in 0..4 {
-                assert_eq!(
-                    got[l],
-                    siphash24(&keys[l], msgs[l]),
-                    "lane {l} diverged from scalar at len {}",
-                    lens[l]
-                );
-            }
-        }
-    }
-
-    /// `mac_block_x4` is exactly four `mac_block` calls.
-    #[test]
-    fn mac_block_x4_matches_scalar() {
-        let keys = [
-            MacKey::derive(10, 0),
-            MacKey::derive(10, 1),
-            MacKey::derive(11, 0),
-            MacKey::derive(12, 5),
-        ];
-        let mut blocks = [[0u8; 64]; 4];
-        for (l, b) in blocks.iter_mut().enumerate() {
-            for (i, byte) in b.iter_mut().enumerate() {
-                *byte = (i as u8).wrapping_mul(l as u8 + 3) ^ 0xC3;
-            }
-        }
-        let counters = [1u64, 0, u64::MAX, 0x1234_5678];
-        let addrs = [0u64, 0x40, 0xFFFF_FFC0, 0xDEAD_0000];
-        let got = mac_block_x4(
-            &keys,
-            [&blocks[0], &blocks[1], &blocks[2], &blocks[3]],
-            counters,
-            addrs,
-        );
-        for l in 0..4 {
-            assert_eq!(
-                got[l],
-                mac_block(&keys[l], &blocks[l], counters[l], addrs[l]),
-                "lane {l}"
             );
         }
     }

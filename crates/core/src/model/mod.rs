@@ -37,8 +37,8 @@ use itesp_snap::Persist;
 /// lifecycle; the model appends its metadata transactions to the
 /// caller's list (the engine folds them into [`crate::EngineStats`]).
 /// Its [`Persist`] impl snapshots the mutable state (caches, counters,
-/// memos, position maps — everything not derivable from config) and
-/// restores it into a freshly built model of the same config.
+/// position maps — everything not derivable from config) and restores
+/// it into a freshly built model of the same config.
 pub trait SchemeModel: std::fmt::Debug + Send + Persist {
     /// Which family this model implements.
     fn family(&self) -> ModelFamily;
@@ -57,9 +57,6 @@ pub trait SchemeModel: std::fmt::Debug + Send + Persist {
 
     /// Flush every cache, appending writeback traffic.
     fn drain(&mut self, mem: &mut Vec<MetaAccess>);
-
-    /// Enable/disable the ancestor-memo fast path (tree-walk only).
-    fn set_tree_memo(&mut self, _enabled: bool) {}
 
     /// Construction-time tree geometry, if the scheme walks one.
     fn geometry(&self) -> Option<&TreeGeometry> {

@@ -29,17 +29,6 @@ struct Regions {
     parity_bases: Vec<u64>,
 }
 
-/// One memoized verified tree path: the last-touched leaf and its
-/// metadata address. Valid only while the partition's tree cache has
-/// seen no other traffic, which guarantees the leaf line is still
-/// resident — so a same-leaf access hits at the leaf and stops there,
-/// exactly like the full walk would.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Persist)]
-struct TreeMemo {
-    leaf_index: u64,
-    leaf_addr: u64,
-}
-
 /// Cap on dirty-writeback cascade processing per access (the lazy
 /// hash-propagation chain is almost always 1-2 deep; the cap guards the
 /// pathological case).
@@ -74,13 +63,6 @@ pub struct TreeWalkModel {
     parity_cache: Option<PartitionedCache>,
     overflow: Option<OverflowTracker>,
     regions: Regions,
-    /// Ancestor memo: per partition, the leaf whose verified path was
-    /// the cache's last touch (see [`Self::walk_tree`]). `None` when
-    /// anything else has touched that partition's tree cache since.
-    tree_memo: Vec<Option<TreeMemo>>,
-    /// Runtime toggle for the memo fast path (equivalence tests run
-    /// with it off to obtain the scalar reference behavior).
-    memo_enabled: bool,
 }
 
 impl TreeWalkModel {
@@ -144,24 +126,12 @@ impl TreeWalkModel {
                 mac_bases,
                 parity_bases,
             },
-            tree_memo: (0..parts).map(|_| None).collect(),
-            memo_enabled: true,
         }
     }
 
     /// Walk leaf-to-top until an on-chip hit; returns levels fetched
     /// from memory. Dirty evictions propagate hashes lazily: the victim
     /// is written back and its parent is dirtied.
-    ///
-    /// Consecutive same-leaf accesses take the ancestor-memo fast path:
-    /// when the partition's last tree-cache touch was a clean walk of
-    /// this very leaf (leaf hit, no writebacks), the leaf line is still
-    /// resident and the scalar walk would perform exactly one hit
-    /// access and stop — so the memo path performs exactly that single
-    /// access, with no iterator walk and byte-identical cache state and
-    /// stats. Any other traffic into the partition's tree cache (longer
-    /// walks, writeback cascades, fallback parity lines, lifecycle
-    /// flushes) invalidates the memo.
     fn walk_tree(
         &mut self,
         part: usize,
@@ -173,33 +143,13 @@ impl TreeWalkModel {
             .as_ref()
             .or(self.geo.as_ref())
             .expect("walk_tree requires a tree");
-        let leaf_index = geo.leaf_of(block).index;
-
-        if self.memo_enabled {
-            if let Some(memo) = self.tree_memo[part] {
-                if memo.leaf_index == leaf_index {
-                    let cache = self.tree_cache.as_mut().expect("tree implies tree cache");
-                    let out = cache.access(part, memo.leaf_addr, dirty_leaf);
-                    debug_assert!(
-                        out.hit && out.writeback.is_none(),
-                        "memoized leaf must still be resident"
-                    );
-                    return 0;
-                }
-            }
-        }
-
         let cache = self.tree_cache.as_mut().expect("tree implies tree cache");
         let base = self.regions.tree_bases[part];
 
         let mut misses = 0;
         let mut pending = Vec::new();
-        let mut leaf_addr = 0;
         for node in geo.walk(block) {
             let addr = geo.node_addr(base, node);
-            if node.level == 0 {
-                leaf_addr = addr;
-            }
             let out = cache.access(part, addr, dirty_leaf && node.level == 0);
             if let Some(victim) = out.writeback {
                 pending.push(victim);
@@ -217,15 +167,7 @@ impl TreeWalkModel {
 
         // Lazy hash propagation for evicted dirty nodes (and plain
         // writes for evicted fallback-parity lines).
-        let clean_walk = pending.is_empty();
         self.process_writebacks(part, pending, mem);
-        // Memoize only a walk that was a single leaf hit: no
-        // allocations, so no line (the leaf included) can have been
-        // silently evicted, and the fast path replays it exactly.
-        self.tree_memo[part] = (misses == 0 && clean_walk).then_some(TreeMemo {
-            leaf_index,
-            leaf_addr,
-        });
         misses
     }
 
@@ -243,11 +185,6 @@ impl TreeWalkModel {
         mut pending: Vec<u64>,
         mem: &mut Vec<MetaAccess>,
     ) {
-        if !pending.is_empty() {
-            // Writeback traffic re-touches the partition's tree cache
-            // (parent accesses may allocate and evict): drop the memo.
-            self.tree_memo[part] = None;
-        }
         let geo = self.part_geos[part]
             .as_ref()
             .or(self.geo.as_ref())
@@ -413,9 +350,6 @@ impl TreeWalkModel {
                     // are mapped to different shared parity blocks"
                     // (Section V-C) and writes do not coalesce.
                     let line = self.fallback_parity_line(part, block);
-                    // This access shares the unified tree cache and can
-                    // silently evict the memoized leaf: drop the memo.
-                    self.tree_memo[part] = None;
                     let cache = self.tree_cache.as_mut().expect("tree cache");
                     let out = cache.access(part, line, true);
                     if !out.hit {
@@ -482,7 +416,6 @@ impl SchemeModel for TreeWalkModel {
     }
 
     fn drain(&mut self, mem: &mut Vec<MetaAccess>) {
-        self.tree_memo.iter_mut().for_each(|m| *m = None);
         // The unified tree cache can also hold fallback shared-parity
         // lines (embedding not viable); label those as parity on the way
         // out, matching the eviction path in `process_writebacks`.
@@ -526,11 +459,6 @@ impl SchemeModel for TreeWalkModel {
         flush(&mut self.mac_cache, MetaKind::Mac, false);
         let shared = matches!(self.spec.parity, ParityMode::Shared(_));
         flush(&mut self.parity_cache, MetaKind::Parity, shared);
-    }
-
-    fn set_tree_memo(&mut self, enabled: bool) {
-        self.memo_enabled = enabled;
-        self.tree_memo.iter_mut().for_each(|m| *m = None);
     }
 
     fn geometry(&self) -> Option<&TreeGeometry> {
@@ -648,7 +576,6 @@ impl SchemeModel for TreeWalkModel {
         // Any resident lines belong to a previous tenant's layout; the
         // destroy path already discarded them, but be safe against a
         // re-install without an intervening reset.
-        self.tree_memo[part] = None;
         if let Some(c) = self.tree_cache.as_mut() {
             c.partition_mut(part).discard();
         }
@@ -682,7 +609,6 @@ impl SchemeModel for TreeWalkModel {
             .expect("isolated schemes have a tree");
         let base = self.regions.tree_bases[part];
         let parity_base = self.regions.parity_bases[part];
-        self.tree_memo[part] = None;
         let before = mem.len();
         if let Some(c) = self.tree_cache.as_mut() {
             for addr in c.partition_mut(part).flush() {
@@ -726,7 +652,6 @@ impl SchemeModel for TreeWalkModel {
         let Some(geo) = self.part_geos[part].take() else {
             return;
         };
-        self.tree_memo[part] = None;
         for c in [
             &mut self.tree_cache,
             &mut self.mac_cache,
@@ -816,8 +741,6 @@ impl SchemeModel for TreeWalkModel {
             }
         }
 
-        // Recycled leaves must never serve from a memoized path.
-        self.tree_memo[part] = None;
         if let Some(c) = self.tree_cache.as_mut() {
             let p = c.partition_mut(part);
             for &addr in &leaf_addrs {
@@ -886,8 +809,6 @@ impl SchemeModel for TreeWalkModel {
         };
         let shared_parity = matches!(self.spec.parity, ParityMode::Shared(_));
         let parity_bases = self.regions.parity_bases.clone();
-        // Resizing re-homes or spills lines in every partition.
-        self.tree_memo.iter_mut().for_each(|m| *m = None);
         for (cache, kind) in [
             (&mut self.tree_cache, MetaKind::Tree),
             (&mut self.mac_cache, MetaKind::Mac),
@@ -929,7 +850,7 @@ impl SchemeModel for TreeWalkModel {
 /// geometry round-trips exactly).
 impl Persist for TreeWalkModel {
     fn save(&self, w: &mut SnapWriter) {
-        w.section("TREE", 1);
+        w.section("TREE", 2);
         let blocks: Vec<Option<u64>> = self
             .part_geos
             .iter()
@@ -940,12 +861,10 @@ impl Persist for TreeWalkModel {
         save_fixed(w, &self.mac_cache);
         save_fixed(w, &self.parity_cache);
         save_fixed(w, &self.overflow);
-        w.put(&self.tree_memo);
-        w.put(&self.memo_enabled);
     }
 
     fn load(&mut self, r: &mut SnapReader, _what: &'static str) -> Result<(), SnapError> {
-        r.section("TREE", 1)?;
+        r.section("TREE", 2)?;
         let at = r.pos();
         let blocks: Vec<Option<u64>> = r.get("partition data_blocks")?;
         if blocks.len() != self.part_geos.len() {
@@ -966,9 +885,7 @@ impl Persist for TreeWalkModel {
         load_fixed(r, &mut self.tree_cache, "tree cache presence")?;
         load_fixed(r, &mut self.mac_cache, "mac cache presence")?;
         load_fixed(r, &mut self.parity_cache, "parity cache presence")?;
-        load_fixed(r, &mut self.overflow, "overflow tracker presence")?;
-        r.load_exact(&mut self.tree_memo, "tree memo count (config mismatch)")?;
-        self.memo_enabled.load(r, "memo enabled")
+        load_fixed(r, &mut self.overflow, "overflow tracker presence")
     }
 }
 

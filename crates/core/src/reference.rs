@@ -3,10 +3,10 @@
 //! [`ReferenceEngine`] is to [`crate::engine::SecurityEngine`] what the
 //! DRAM model's `ReferenceChannel` is to its event-driven channel: a
 //! deliberately plain, one-step-at-a-time implementation of the same
-//! semantics, kept verbatim as the batched/memoized hot path evolves.
-//! It walks every tree level through the cache on every access (no
-//! ancestor memo), filters one request at a time (no burst batching),
-//! and never takes a vectorized shortcut.
+//! semantics, kept verbatim while the engine evolves behind its
+//! [`crate::model::SchemeModel`] seam. It is one flat struct with no
+//! model trait, lifecycle or snapshot state: it walks every tree level
+//! through the cache on every access and filters one request at a time.
 //!
 //! The lockstep equivalence tests (`crates/oracle`) drive both engines
 //! with identical randomized request streams across all schemes and
@@ -183,8 +183,7 @@ impl ReferenceEngine {
         }
     }
 
-    /// Full leaf-to-top walk through the cache, every access, every
-    /// time — no memo.
+    /// Leaf-to-top walk through the cache until the first on-chip hit.
     fn walk_tree(
         &mut self,
         part: usize,

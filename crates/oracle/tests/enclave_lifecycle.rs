@@ -21,9 +21,7 @@
 
 use std::collections::HashSet;
 
-use itesp_core::{
-    EngineConfig, EngineStats, MacKey, Scheme, SecurityEngine, Snapshot, VerifiedMemory,
-};
+use itesp_core::{EngineConfig, MacKey, Scheme, SecurityEngine, Snapshot, VerifiedMemory};
 use itesp_enclave::{EnclaveManager, PAGE_BLOCKS, PAGE_BYTES};
 use itesp_oracle::with_seeds;
 use rand::rngs::StdRng;
@@ -61,10 +59,9 @@ fn block_of(leaf: u64, rng: &mut StdRng) -> u64 {
     leaf * PAGE_BLOCKS + rng.gen_range(0..PAGE_BLOCKS)
 }
 
-fn churn(scheme: Scheme, seed: u64, memo: bool) -> (u64, u64, EngineStats) {
+fn churn(scheme: Scheme, seed: u64) -> (u64, u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut engine = SecurityEngine::new(EngineConfig::paper_default(scheme));
-    engine.set_tree_memo(memo);
     let mut mgr = EnclaveManager::new(SLOTS, seed);
     let mut tenants: Vec<Option<Tenant>> = (0..SLOTS).map(|_| None).collect();
     let mut captures: Vec<Option<Capture>> = (0..SLOTS).map(|_| None).collect();
@@ -151,18 +148,15 @@ fn churn(scheme: Scheme, seed: u64, memo: bool) -> (u64, u64, EngineStats) {
                 tenant.written.push(block);
                 engine.on_access(slot, block * 64, block, true);
             } else {
-                // Demand reads interleave with the lifecycle so the
-                // ancestor memo is alive across install/grow/reset/
-                // destroy edges — stale memo state would corrupt the
-                // stats compared by `memoized_lifecycle_stats_match`.
+                // Demand reads interleave with the lifecycle, so tree
+                // walks cross install/grow/reset/destroy edges.
                 let block = block_of(leaf, &mut rng);
                 engine.on_access(slot, block * 64, block, false);
             }
             if rng.gen_bool(0.3) {
                 // `min` rather than `iter().next()`: HashSet order varies
-                // between runs, and both seed replay and the memo-vs-
-                // scalar stats comparison need the drive to be a pure
-                // function of the seed.
+                // between runs, and seed replay needs the drive to be a
+                // pure function of the seed.
                 if let Some(&victim) = tenant.live.iter().min() {
                     // Free a live page by its leaf; find its vpage.
                     let enc = mgr.enclave(slot).unwrap();
@@ -199,7 +193,7 @@ fn churn(scheme: Scheme, seed: u64, memo: bool) -> (u64, u64, EngineStats) {
     let s = mgr.stats();
     assert_eq!(s.created, s.destroyed, "every tenant must be torn down");
     assert_eq!(s.created, CYCLES_PER_SCHEME as u64);
-    (s.created, recycles, engine.stats().clone())
+    (s.created, recycles)
 }
 
 #[test]
@@ -213,7 +207,7 @@ fn lifecycle_churn_never_replays_dead_state() {
     let mut recycles = 0u64;
     with_seeds("lifecycle_churn_never_replays_dead_state", 4, |seed| {
         for scheme in schemes {
-            let (c, r, _) = churn(scheme, seed, true);
+            let (c, r) = churn(scheme, seed);
             cycles += c;
             recycles += r;
         }
@@ -225,31 +219,4 @@ fn lifecycle_churn_never_replays_dead_state() {
         assert!(cycles >= 1000, "only {cycles} lifecycle cycles ran");
         assert!(recycles > 0, "churn never recycled a leaf-id");
     }
-}
-
-/// The ancestor-memo fast path must be invisible to lifecycle churn:
-/// the same seeded create / touch / write / free / destroy sequence,
-/// run once with the memo enabled and once disabled, must produce
-/// byte-identical engine statistics. This pins every invalidation edge
-/// the lifecycle crosses — private-tree install and grow on create and
-/// touch, leaf resets on free, cache repartitioning and partition
-/// resets on destroy — since a stale memoized path on any of them
-/// would fake a cache hit and skew the traffic counts.
-#[test]
-fn memoized_lifecycle_stats_match() {
-    let schemes = [
-        Scheme::Itesp,
-        Scheme::ItSynergySharedParity,
-        Scheme::Synergy,
-    ];
-    with_seeds("memoized_lifecycle_stats_match", 2, |seed| {
-        for scheme in schemes {
-            let (_, _, with_memo) = churn(scheme, seed, true);
-            let (_, _, without) = churn(scheme, seed, false);
-            assert_eq!(
-                with_memo, without,
-                "memo changed lifecycle traffic (scheme {scheme:?}, seed {seed})"
-            );
-        }
-    });
 }

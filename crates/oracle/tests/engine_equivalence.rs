@@ -1,19 +1,16 @@
-//! Lockstep equivalence oracle for the optimized security-engine hot
-//! path.
+//! Lockstep equivalence oracle for the security engine's access path.
 //!
-//! The [`SecurityEngine`] carries two hot-path optimizations — the
-//! per-partition ancestor memo and the batched MAC/parity kernels
-//! below it — while
-//! [`ReferenceEngine`] is a verbatim scalar twin of the original
-//! access path with none of them. This oracle drives both with
-//! identical randomized access streams over *every* scheme and asserts
-//! access-by-access identical outcomes (traffic list, stall cycles,
-//! Figure 3 case) plus identical final statistics. Any divergence is a
-//! bug in the optimized path by construction.
+//! [`SecurityEngine`] runs each scheme behind the `SchemeModel` seam,
+//! with lifecycle and snapshot state, while [`ReferenceEngine`] is a
+//! verbatim flat twin of the original access path. This oracle drives
+//! both with identical randomized access streams over *every* scheme
+//! and asserts access-by-access identical outcomes (traffic list,
+//! stall cycles, Figure 3 case) plus identical final statistics. Any
+//! divergence is a bug in the engine by construction.
 //!
-//! Streams are generated with deliberate same-leaf runs so the memo
-//! fast path actually fires (a uniform stream would almost never
-//! produce two consecutive clean hits on one leaf).
+//! Streams are generated with deliberate same-leaf runs, so walks that
+//! stop at a warm leaf alternate with longer walks and writeback
+//! cascades (a uniform stream would almost never revisit a leaf).
 
 use itesp_core::{EngineConfig, ReferenceEngine, Scheme, SecurityEngine};
 use itesp_oracle::with_seeds;
@@ -60,7 +57,7 @@ fn gen_stream(rng: &mut StdRng, enclaves: usize) -> Vec<AccessRequest> {
     out
 }
 
-/// Optimized engine (memo on) vs the scalar reference twin, access by
+/// The engine vs the scalar reference twin, access by
 /// access, over every tree-lineage scheme in the paper. The reference
 /// is deliberately a twin of the *original* 13-scheme access path: it
 /// knows nothing of the SecDDR/IRO baselines, so the lockstep sweep is
@@ -88,34 +85,6 @@ fn optimized_engine_matches_scalar_reference() {
                 refr.stats(),
                 "stats diverged (scheme {scheme:?}, seed {seed})"
             );
-        }
-    });
-}
-
-/// Toggling the memo off mid-run only drops cached paths — it must
-/// never change what traffic subsequent accesses produce relative to a
-/// never-memoized engine.
-#[test]
-fn memo_toggle_preserves_equivalence() {
-    with_seeds("memo_toggle_preserves_equivalence", 2, |seed| {
-        for scheme in [Scheme::Itesp, Scheme::Vault, Scheme::ItSynergySharedParity] {
-            let cfg = EngineConfig::paper_default(scheme);
-            let mut rng = StdRng::seed_from_u64(seed ^ 0x7066);
-            let stream = gen_stream(&mut rng, cfg.enclaves);
-            let mut toggled = SecurityEngine::new(cfg);
-            let mut plain = SecurityEngine::new(cfg);
-            plain.set_tree_memo(false);
-            for (i, r) in stream.iter().enumerate() {
-                if i % 500 == 250 {
-                    toggled.set_tree_memo(false);
-                } else if i % 500 == 0 {
-                    toggled.set_tree_memo(true);
-                }
-                let a = toggled.on_access(r.enclave, r.paddr, r.enclave_block, r.is_write);
-                let b = plain.on_access(r.enclave, r.paddr, r.enclave_block, r.is_write);
-                assert_eq!(a, b, "toggle diverged at access {i} (scheme {scheme:?})");
-            }
-            assert_eq!(toggled.stats(), plain.stats());
         }
     });
 }

@@ -9,8 +9,8 @@
 //! The restored engine must also re-serialize to the exact bytes it
 //! was loaded from (the snapshot is a fixed point).
 //!
-//! Streams use the equivalence oracle's locality shape so the memo and
-//! cache paths are genuinely warm at the snapshot point; seeds are
+//! Streams use the equivalence oracle's locality shape so the caches
+//! and counters are genuinely warm at the snapshot point; seeds are
 //! replayable via `ITESP_TEST_SEED`.
 
 use itesp_core::{EngineConfig, Scheme, SecurityEngine};

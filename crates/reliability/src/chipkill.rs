@@ -18,38 +18,13 @@
 
 use serde::{Deserialize, Serialize};
 
-use itesp_core::mac::{mac_block, mac_block_x4, MacKey};
+use itesp_core::mac::{mac_block, MacKey};
 
-use crate::inject::{CodeWord, BEATS, DATA_CHIPS, TOTAL_CHIPS};
+use crate::inject::{CodeWord, BEATS, TOTAL_CHIPS};
 
 /// Compute the 64-bit column parity of a codeword: bit `beat*8 + pin`
 /// is the XOR across all 9 chips of that pin on that beat.
-///
-/// The codeword layout is beat-major, so beat `b`'s eight data bytes
-/// are exactly word `b` of `data`: the per-beat XOR across chips is a
-/// horizontal byte fold of one u64 plus the ECC chip's byte. Eight
-/// independent word folds — the compiler's autovectorizer handles the
-/// rest. The scalar twin is [`column_parity_scalar`].
 pub fn column_parity(word: &CodeWord) -> u64 {
-    let mut parity = 0u64;
-    for beat in 0..BEATS {
-        let w = u64::from_le_bytes(
-            word.data[beat * DATA_CHIPS..(beat + 1) * DATA_CHIPS]
-                .try_into()
-                .expect("one beat is 8 bytes"),
-        );
-        let mut x = w ^ (w >> 32);
-        x ^= x >> 16;
-        x ^= x >> 8;
-        parity |= u64::from((x as u8) ^ word.mac_field[beat]) << (beat * 8);
-    }
-    parity
-}
-
-/// Verbatim scalar twin of [`column_parity`]: the straight
-/// chip-at-a-time double loop, kept for lockstep equivalence tests and
-/// the microbench baseline.
-pub fn column_parity_scalar(word: &CodeWord) -> u64 {
     let mut parity = 0u64;
     for beat in 0..BEATS {
         let mut acc = 0u8;
@@ -97,41 +72,12 @@ pub fn verify_and_correct(
         return (Correction::Clean, *word);
     }
 
-    // Trial-correct every chip hypothesis, then check all nine trial
-    // MACs in 4-lane batches (4 + 4 + 1, the last group padded with
-    // repeats) instead of nine scalar passes. Still nine MAC trials —
-    // the paper's correction cost — just computed wider.
-    let candidates: [CodeWord; TOTAL_CHIPS] =
-        std::array::from_fn(|chip| reconstruct(word, parity, chip));
-    let mut macs = [0u64; TOTAL_CHIPS];
-    let keys = [*key; 4];
-    for group in 0..TOTAL_CHIPS.div_ceil(4) {
-        let base = group * 4;
-        let lane = |l: usize| (base + l).min(TOTAL_CHIPS - 1);
-        let got = mac_block_x4(
-            &keys,
-            [
-                &candidates[lane(0)].data,
-                &candidates[lane(1)].data,
-                &candidates[lane(2)].data,
-                &candidates[lane(3)].data,
-            ],
-            [counter; 4],
-            [addr; 4],
-        );
-        for l in 0..4 {
-            if base + l < TOTAL_CHIPS {
-                macs[base + l] = got[l];
-            }
-        }
-    }
-
+    // Trial-correct every chip hypothesis: nine reconstructions, one
+    // MAC each — the paper's correction cost.
     let mut matches: Vec<(u8, CodeWord)> = Vec::new();
-    let mut trials = 0u8;
     for chip in 0..TOTAL_CHIPS as u8 {
-        let candidate = candidates[chip as usize];
-        trials += 1;
-        if macs[chip as usize] == candidate.mac() {
+        let candidate = reconstruct(word, parity, chip as usize);
+        if mac_block(key, &candidate.data, counter, addr) == candidate.mac() {
             matches.push((chip, candidate));
         }
     }
@@ -142,7 +88,7 @@ pub fn verify_and_correct(
             (
                 Correction::Corrected {
                     chip,
-                    mac_trials: trials,
+                    mac_trials: TOTAL_CHIPS as u8,
                 },
                 fixed,
             )
@@ -153,24 +99,7 @@ pub fn verify_and_correct(
 
 /// Rebuild `word` under the hypothesis that `failed_chip` is bad: its
 /// bytes are recomputed from the parity and the other chips.
-///
-/// Uses the word-fold form of the per-beat XOR: the other chips' XOR is
-/// the full-beat fold with the failed chip's byte folded back out. The
-/// scalar twin is [`reconstruct_scalar`].
 pub fn reconstruct(word: &CodeWord, parity: u64, failed_chip: usize) -> CodeWord {
-    let all = column_parity(word);
-    let mut fixed = *word;
-    for beat in 0..BEATS {
-        let pbyte = ((parity >> (beat * 8)) & 0xFF) as u8;
-        let others = (((all >> (beat * 8)) & 0xFF) as u8) ^ word.chip_byte(failed_chip, beat);
-        fixed.set_chip_byte(failed_chip, beat, pbyte ^ others);
-    }
-    fixed
-}
-
-/// Verbatim scalar twin of [`reconstruct`]: per-chip XOR loop with the
-/// failed chip excluded, kept for lockstep equivalence tests.
-pub fn reconstruct_scalar(word: &CodeWord, parity: u64, failed_chip: usize) -> CodeWord {
     let mut fixed = *word;
     for beat in 0..BEATS {
         let pbyte = ((parity >> (beat * 8)) & 0xFF) as u8;
@@ -348,32 +277,6 @@ mod tests {
         let (word, parity, _, _, _) = setup(3);
         for chip in 0..TOTAL_CHIPS {
             assert_eq!(reconstruct(&word, parity, chip), word);
-        }
-    }
-
-    /// Lockstep equivalence: the word-fold parity and reconstruction
-    /// must match their scalar twins bit for bit over random codewords
-    /// (corrupted ones included — the fold is layout math, not
-    /// semantics).
-    #[test]
-    fn vectorized_folds_match_scalar_twins() {
-        let mut rng = StdRng::seed_from_u64(0xF01D);
-        for i in 0..500 {
-            let mut data = [0u8; 64];
-            rng.fill(&mut data[..]);
-            let mut word = CodeWord::new(data, rng.gen());
-            if i % 3 == 0 {
-                inject(&mut word, Fault::random(&mut rng), &mut rng);
-            }
-            assert_eq!(column_parity(&word), column_parity_scalar(&word));
-            let parity: u64 = rng.gen();
-            for chip in 0..TOTAL_CHIPS {
-                assert_eq!(
-                    reconstruct(&word, parity, chip),
-                    reconstruct_scalar(&word, parity, chip),
-                    "reconstruct diverged, chip {chip}"
-                );
-            }
         }
     }
 

@@ -48,9 +48,9 @@ pub struct ChurnDriver {
 impl ChurnDriver {
     /// Build a driver for `workload` over `phys_bytes` of allocatable
     /// memory. `seed` keys the free-list placement and the
-    /// per-enclave MAC keys; `rebuild_parity` picks the free-time
-    /// parity policy (rebuild vs break).
-    pub fn new(workload: &ChurnWorkload, phys_bytes: u64, seed: u64, rebuild_parity: bool) -> Self {
+    /// per-enclave MAC keys. Freed leaves rebuild their parity (the
+    /// manager's default policy).
+    pub fn new(workload: &ChurnWorkload, phys_bytes: u64, seed: u64) -> Self {
         let slots = workload.slots.len();
         assert!(slots > 0, "churn workload needs at least one slot");
         let queues: Vec<VecDeque<ChurnSession>> = workload
@@ -62,8 +62,7 @@ impl ChurnDriver {
             .iter()
             .map(|q| q.front().map_or(u64::MAX, |s| s.arrival_gap))
             .collect();
-        let mut manager = EnclaveManager::new(slots, seed);
-        manager.rebuild_parity = rebuild_parity;
+        let manager = EnclaveManager::new(slots, seed);
         ChurnDriver {
             frees: vec![VecDeque::new(); slots],
             live: vec![false; slots],
@@ -85,8 +84,9 @@ impl ChurnDriver {
         self.live.iter().all(|l| !l) && self.queues.iter().all(VecDeque::is_empty)
     }
 
-    /// Earliest pending arrival across slots waiting for one, for the
-    /// fast-forward clock.
+    /// Earliest pending arrival across slots waiting for one. It bounds
+    /// both clock jumps: the fast-forward window and, through
+    /// `System::driver_wake`, the bulk-advance window.
     pub(crate) fn next_ready(&self) -> Option<u64> {
         self.live
             .iter()

@@ -125,7 +125,7 @@ pub fn run_workload_churn(w: &ChurnWorkload, p: ExperimentParams) -> RunResult {
     let dram = p.dram_config();
     let engine = p.engine_config(&dram);
     let cfg = SystemConfig::table_iii(dram, engine);
-    System::new_churn(cfg, w, p.seed, true).run()
+    System::new_churn(cfg, w, p.seed).run()
 }
 
 /// Build (without running) the churn+RAS system the crash-recovery
@@ -136,7 +136,7 @@ pub fn build_churn_ras_system(w: &ChurnWorkload, p: ExperimentParams, ras: RasCo
     let dram = p.dram_config();
     let engine = p.engine_config(&dram);
     let cfg = SystemConfig::table_iii(dram, engine).with_ras(ras);
-    System::new_churn(cfg, w, p.seed, true)
+    System::new_churn(cfg, w, p.seed)
 }
 
 /// Run a pre-built workload with the online RAS pipeline enabled.

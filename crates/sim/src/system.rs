@@ -24,17 +24,17 @@ use crate::stats::RunResult;
 /// CPU cycles per DRAM bus cycle (3.2 GHz core, 800 MHz DDR3 bus).
 pub const CPU_PER_DRAM_CYCLE: u64 = 4;
 
+/// ROB entries per core (Table III).
+const ROB_SIZE: u64 = 64;
+
+/// Fetch/retire width, instructions per cycle (Table III).
+const WIDTH: u64 = 4;
+
 /// Full-system configuration.
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
     pub dram: DramConfig,
     pub engine: EngineConfig,
-    /// ROB entries per core.
-    pub rob_size: u64,
-    /// Fetch/retire width, instructions per cycle.
-    pub width: u64,
-    /// Safety valve: abort after this many CPU cycles (0 = unlimited).
-    pub max_cycles: u64,
     /// Online RAS pipeline (fault injection, correction traffic, patrol
     /// scrub, page retirement); `None` = faults off, zero overhead.
     pub ras: Option<RasConfig>,
@@ -46,9 +46,6 @@ impl SystemConfig {
         SystemConfig {
             dram,
             engine,
-            rob_size: 64,
-            width: 4,
-            max_cycles: 0,
             ras: None,
         }
     }
@@ -155,7 +152,6 @@ struct LeafMap {
 
 /// The assembled system.
 pub struct System {
-    cfg: SystemConfig,
     mem: MemorySystem,
     engine: SecurityEngine,
     cores: Vec<Core>,
@@ -203,7 +199,7 @@ impl System {
         let cores: Vec<Core> = traces.into_iter().map(Core::new).collect();
         let ncores = cores.len();
         let isolated = engine.spec().isolated;
-        let ras = cfg.ras.clone().map(|rc| {
+        let ras = cfg.ras.map(|rc| {
             Box::new(RasEngine::new(
                 rc,
                 engine.parity_group_share(),
@@ -216,7 +212,6 @@ impl System {
         });
         let leaf_maps = vec![LeafMap::default(); cores.len()];
         System {
-            cfg,
             mem,
             engine,
             cores,
@@ -250,17 +245,12 @@ impl System {
     /// Build a system serving a churn schedule: cores start empty and
     /// the lifecycle driver admits/destroys enclave sessions as their
     /// arrival times pass. `seed` keys page placement and per-enclave
-    /// MAC keys; `rebuild_parity` picks the free-time parity policy.
+    /// MAC keys.
     ///
     /// # Panics
     /// Panics if the workload's slot count differs from the engine's
     /// enclave count (slot i maps to cache/tree partition i).
-    pub fn new_churn(
-        cfg: SystemConfig,
-        workload: &ChurnWorkload,
-        seed: u64,
-        rebuild_parity: bool,
-    ) -> Self {
+    pub fn new_churn(cfg: SystemConfig, workload: &ChurnWorkload, seed: u64) -> Self {
         let slots = workload.slots.len();
         assert_eq!(
             cfg.engine.enclaves, slots,
@@ -268,12 +258,7 @@ impl System {
         );
         let phys_bytes = cfg.dram.geometry.capacity_bytes();
         let mut sys = Self::from_traces(cfg, vec![Vec::new(); slots]);
-        sys.churn = Some(Box::new(ChurnDriver::new(
-            workload,
-            phys_bytes,
-            seed,
-            rebuild_parity,
-        )));
+        sys.churn = Some(Box::new(ChurnDriver::new(workload, phys_bytes, seed)));
         sys
     }
 
@@ -305,8 +290,7 @@ impl System {
     /// Run to completion; returns the collected results.
     ///
     /// # Panics
-    /// Panics if `max_cycles` is exceeded (deadlock guard), or on a
-    /// fatal RAS error when `halt_on_due` is set — use
+    /// Panics on a fatal RAS error when `halt_on_due` is set — use
     /// [`try_run`](Self::try_run) to handle that as a typed error.
     pub fn run(self) -> RunResult {
         self.try_run()
@@ -320,9 +304,6 @@ impl System {
     /// # Errors
     /// The first [`RasError`] raised when [`RasConfig::halt_on_due`] is
     /// set.
-    ///
-    /// # Panics
-    /// Panics if `max_cycles` is exceeded (deadlock guard).
     pub fn try_run(mut self) -> Result<RunResult, RasError> {
         self.run_loop();
         self.take_fatal()?;
@@ -344,9 +325,6 @@ impl System {
     /// # Errors
     /// The first [`RasError`] raised when [`RasConfig::halt_on_due`] is
     /// set.
-    ///
-    /// # Panics
-    /// Panics if `max_cycles` is exceeded (deadlock guard).
     #[allow(clippy::type_complexity)]
     pub fn try_run_logged(mut self) -> Result<(RunResult, Vec<Vec<IssuedCommand>>, u64), RasError> {
         self.mem.enable_cmd_logs();
@@ -366,14 +344,8 @@ impl System {
 
     fn run_loop(&mut self) {
         let ncores = self.cores.len();
-        let limit = if self.cfg.max_cycles == 0 {
-            u64::MAX
-        } else {
-            self.cfg.max_cycles
-        };
 
         while !self.all_done() {
-            assert!(self.cycle < limit, "simulation exceeded max_cycles");
             if self.ras.as_ref().is_some_and(|r| r.fatal.is_some()) {
                 break; // halt_on_due: stop issuing, report the error
             }
@@ -451,7 +423,7 @@ impl System {
         let core = &self.cores[ci];
         self.parked[ci] = core.done()
             || (core.blocked_write.is_none()
-                && (core.trace_done() || core.rob_occupancy() >= self.cfg.rob_size)
+                && (core.trace_done() || core.rob_occupancy() >= ROB_SIZE)
                 && core
                     .reads
                     .front()
@@ -663,7 +635,7 @@ impl System {
         }
     }
 
-    /// Retire up to `width` instructions from the ROB head.
+    /// Retire up to `WIDTH` instructions from the ROB head.
     fn retire(&mut self, ci: usize) {
         let dram_now = self.cycle / CPU_PER_DRAM_CYCLE;
         // A write blocked on a full write queue stalls retirement.
@@ -675,7 +647,7 @@ impl System {
             }
         }
         let core = &mut self.cores[ci];
-        let mut budget = self.cfg.width;
+        let mut budget = WIDTH;
         while budget > 0 && core.retired < core.fetched {
             if let Some(front) = core.reads.front() {
                 if front.rob_pos == core.retired {
@@ -701,7 +673,7 @@ impl System {
         }
     }
 
-    /// Fetch up to `width` instructions into the ROB; memory ops issue
+    /// Fetch up to `WIDTH` instructions into the ROB; memory ops issue
     /// their DRAM and metadata traffic here (reads) or at retire
     /// (writes, via `blocked_write` when the queue is full).
     fn fetch(&mut self, ci: usize) {
@@ -722,17 +694,17 @@ impl System {
 
     fn fetch_with(&mut self, ci: usize, lm: &mut LeafMap, mut ch: Option<&mut ChurnDriver>) {
         let dram_now = self.cycle / CPU_PER_DRAM_CYCLE;
-        let mut budget = self.cfg.width;
+        let mut budget = WIDTH;
         while budget > 0 {
             let core = &mut self.cores[ci];
-            if core.trace_done() || core.rob_occupancy() >= self.cfg.rob_size {
+            if core.trace_done() || core.rob_occupancy() >= ROB_SIZE {
                 break;
             }
             if core.gap_left > 0 {
                 let take = core
                     .gap_left
                     .min(budget)
-                    .min(self.cfg.rob_size - core.rob_occupancy());
+                    .min(ROB_SIZE - core.rob_occupancy());
                 core.fetched += take;
                 core.gap_left -= take;
                 budget -= take;
@@ -812,17 +784,17 @@ impl System {
     /// cycles are applied arithmetically in one shot.
     ///
     /// Exactness argument, per linear case (retire runs before fetch
-    /// each cycle, both at `width` per cycle):
+    /// each cycle, both at `WIDTH` per cycle):
     ///
     /// * gap flow (no reads, occupancy >= width, gap >= width): retire
-    ///   takes `width`, fetch refills `width`; occupancy is invariant,
+    ///   takes `WIDTH`, fetch refills `WIDTH`; occupancy is invariant,
     ///   so every cycle is identical while the gap lasts;
     /// * approach (oldest read still behind the ROB head): plain
-    ///   instructions retire at `width` until `retired` reaches the
+    ///   instructions retire at `WIDTH` until `retired` reaches the
     ///   read's slot — the window stops exactly there;
     /// * fill (undone read at the ROB head): retirement is frozen;
-    ///   fetch adds `width` gap instructions until the ROB fills;
-    /// * drain (trace done, no reads): retire `width` per cycle,
+    ///   fetch adds `WIDTH` gap instructions until the ROB fills;
+    /// * drain (trace done, no reads): retire `WIDTH` per cycle,
     ///   stopping one instruction short of empty so the `finish`
     ///   stamp is taken by the normal per-cycle path.
     ///
@@ -854,7 +826,7 @@ impl System {
             return;
         };
         let now = self.cycle;
-        let w = self.cfg.width;
+        let w = WIDTH;
         // Cycles strictly inside the window must precede the next
         // memory event (completions / queue space / refresh) and the
         // drivers' wake-up.
@@ -899,7 +871,7 @@ impl System {
                 }
                 Some(_) => {
                     // Undone head read: retirement frozen.
-                    let space = self.cfg.rob_size - o;
+                    let space = ROB_SIZE - o;
                     if c.trace_done() || space == 0 {
                         u64::MAX // fully frozen until its completion
                     } else if c.gap_left >= w && space >= w {
@@ -937,7 +909,7 @@ impl System {
                     }
                 }
                 Some(_) => {
-                    if !c.trace_done() && self.cfg.rob_size > c.fetched - c.retired {
+                    if !c.trace_done() && ROB_SIZE > c.fetched - c.retired {
                         c.fetched += insts;
                         c.gap_left -= insts;
                     }
@@ -959,12 +931,12 @@ impl System {
     }
 
     /// When nothing is in flight anywhere, jump time ahead: pure
-    /// gap-crunching proceeds at `width` instructions per cycle.
+    /// gap-crunching proceeds at `WIDTH` instructions per cycle.
     ///
     /// An approximation, not a cycle-exact skip: the jump retires the
     /// ROB backlog `b` first and then fetches only `jump * width - b`
     /// gap instructions, whereas per-cycle stepping retires and fetches
-    /// `width` each in the same cycle. A core therefore reaches its
+    /// `WIDTH` each in the same cycle. A core therefore reaches its
     /// next memory op up to `b / width` cycles later than stepping
     /// would. Every figure is produced with this model, so making it
     /// exact would move them all.
@@ -988,7 +960,7 @@ impl System {
                 continue;
             }
             let insts = c.gap_left + (c.fetched - c.retired);
-            jump = jump.min(insts / (2 * self.cfg.width));
+            jump = jump.min(insts / (2 * WIDTH));
         }
         // The RAS fault process needs the clock at its next arrival,
         // drill, or patrol slot: never jump past it.
@@ -1009,7 +981,7 @@ impl System {
             if c.done() {
                 continue;
             }
-            let mut work = jump * self.cfg.width;
+            let mut work = jump * WIDTH;
             // Retire backlog first (these insts are already fetched).
             let backlog = (c.fetched - c.retired).min(work);
             c.retired += backlog;
