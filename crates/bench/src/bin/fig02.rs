@@ -6,7 +6,7 @@
 //! Paper's takeaway: utilization is on average ~2.1x lower in Large.
 //!
 //! Run: `cargo run --release -p itesp-bench --bin fig02 [ops]`
-//! (supports `--resume`, `--timeout`, `--retries`; see EXPERIMENTS.md)
+//! (supports `--resume`, `--timeout`; see EXPERIMENTS.md)
 
 use itesp_bench::{engine_replay, ops_from_env, print_table, run_campaign, save_json, TRACE_SEED};
 use itesp_core::{EngineConfig, Scheme};

@@ -9,7 +9,7 @@
 //! Large shifts mass toward the high-ancestor cases.
 //!
 //! Run: `cargo run --release -p itesp-bench --bin fig03 [ops]`
-//! (supports `--resume`, `--timeout`, `--retries`; see EXPERIMENTS.md)
+//! (supports `--resume`, `--timeout`; see EXPERIMENTS.md)
 
 use itesp_bench::{engine_replay, ops_from_env, print_table, run_campaign, save_json, TRACE_SEED};
 use itesp_core::{EngineConfig, MissCase, Scheme};

@@ -19,7 +19,7 @@
 //! so `--resume` skips completed arrival-rate points.
 //!
 //! Run: `cargo run --release -p itesp-bench --bin figchurn [ops]`
-//! (supports `--resume`, `--timeout`, `--retries`; see EXPERIMENTS.md)
+//! (supports `--resume`, `--timeout`; see EXPERIMENTS.md)
 
 use itesp_bench::{ops_from_env, print_table, run_campaign, save_json};
 use itesp_core::Scheme;

@@ -2,7 +2,10 @@
 //! load, a SIGKILL, and a SIGTERM drain — per-tenant stats must come
 //! out byte-identical to an uninterrupted reference session.
 //!
-//! Three stages, each a separate daemon process on its own state dir:
+//! Three stages, each a separate daemon process on its own state dir.
+//! The daemon is this binary re-executed with `ITESP_FIGSERVE_CHILD`
+//! set, running the `itesp-serve` entry point, so the drill needs only
+//! its own package built:
 //!
 //! 1. **Reference** — a quiet daemon serves every honest tenant once;
 //!    its deterministic per-tenant stats JSON (metrics command `T`) is
@@ -47,6 +50,8 @@ const TENANTS: u64 = 8;
 const CURSED_TENANT: u64 = 99;
 /// Rounds of each hostile-client mode during the chaos session.
 const CHAOS_ROUNDS: usize = 3;
+/// Set in the environment of the daemon children this drill spawns.
+const CHILD_ENV: &str = "ITESP_FIGSERVE_CHILD";
 
 /// The honest workload: a pure function of (seed, tenant, ops), so the
 /// reference and chaos sessions submit identical requests.
@@ -70,27 +75,19 @@ fn tenant_records(seed: u64, tenant: u64, ops: usize) -> Vec<TraceRecord> {
         .collect()
 }
 
-/// Spawn an `itesp-serve` daemon (the binary sits next to this one)
-/// and wait for it to publish its ports.
+/// Spawn a daemon (this binary as [`CHILD_ENV`]) and wait for it to
+/// publish its ports.
 // The returned child is owned by the caller, which always either
 // SIGKILLs it (and waits) or SIGTERM-drains it via `drain_daemon`;
 // clippy cannot see the `wait()` across the early return.
 #[allow(clippy::zombie_processes)]
 fn spawn_daemon(state_dir: &Path, drill: Drill, chaos: Option<&str>) -> (Child, u16, u16) {
-    let exe = std::env::current_exe()
-        .expect("own path")
-        .with_file_name("itesp-serve");
-    assert!(
-        exe.exists(),
-        "itesp-serve binary not found at {} — build the workspace first ({})",
-        exe.display(),
-        drill
-    );
     // Stale ports from a previous daemon on this dir must not be
     // mistaken for the new daemon's.
     let _ = fs::remove_file(state_dir.join("ports"));
-    let mut cmd = Command::new(exe);
-    cmd.env("ITESP_SERVE_STATE", state_dir)
+    let mut cmd = Command::new(std::env::current_exe().expect("own path"));
+    cmd.env(CHILD_ENV, "1")
+        .env("ITESP_SERVE_STATE", state_dir)
         .env("ITESP_SERVE_SHARDS", "4")
         .env("ITESP_SERVE_QUEUE", "4")
         .env("ITESP_SERVE_SNAP_EVERY", "1")
@@ -101,7 +98,7 @@ fn spawn_daemon(state_dir: &Path, drill: Drill, chaos: Option<&str>) -> (Child, 
     if let Some(directives) = chaos {
         cmd.env("ITESP_SERVE_CHAOS", directives);
     }
-    let mut child = cmd.spawn().expect("spawn itesp-serve");
+    let mut child = cmd.spawn().expect("spawn daemon child");
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         if let Ok(ports) = read_ports(state_dir) {
@@ -210,6 +207,9 @@ fn chaos_clients(
 }
 
 fn main() {
+    if std::env::var_os(CHILD_ENV).is_some() {
+        itesp_serve::daemon::main();
+    }
     let seed = env_seed(0x005E_127E);
     // Per-tenant trace length: the batch default is a campaign-scale
     // count; each of the 8 tenants runs a slice of it.

@@ -1,24 +1,21 @@
 //! Regenerate every table and figure, resiliently.
 //!
 //! Run: `cargo run --release -p itesp-bench --bin run_all [ops] [--jobs N]
-//!        [--resume] [--timeout S] [--retries N]
-//!        [--target-timeout S] [--target-retries N]`
+//!        [--resume] [--timeout S] [--target-timeout S]`
 //!
 //! First the grid step runs in-process: the union of the nine grid
 //! figures' runs (see `itesp_bench::grid`) is simulated once, as the
 //! checkpointed campaign `run_all.grid`, and each figure is folded from
-//! that one run set and saved. `--timeout`/`--retries` apply to its
-//! jobs; the grid checkpoint is cleared once all nine figures are saved.
+//! that one run set and saved. `--timeout` applies to its jobs; the
+//! grid checkpoint is cleared once all nine figures are saved.
 //!
-//! Then the other targets run as child processes, each given all
-//! arguments except the `--target-*` pair. Each child runs under an
-//! optional wall-clock deadline (`--target-timeout` /
-//! `ITESP_TARGET_TIMEOUT`) and retry budget (`--target-retries` /
-//! `ITESP_TARGET_RETRIES`); retried children get `--resume` appended so
-//! completed jobs are not recomputed. A failing step does not stop the
-//! campaign — the run continues, the failure lands in
-//! `results/run_all_summary.json`, and the process exits nonzero at the
-//! end.
+//! Then the other targets run once each as child processes, given all
+//! arguments except `--target-timeout`, under an optional wall-clock
+//! deadline (`--target-timeout` / `ITESP_TARGET_TIMEOUT`). A failing
+//! step does not stop the campaign — the run continues, the failure
+//! lands in `results/run_all_summary.json`, and the process exits
+//! nonzero at the end; rerunning with `--resume` then skips the jobs
+//! every target already checkpointed.
 
 use std::fmt;
 use std::path::Path;
@@ -26,8 +23,8 @@ use std::process::Command;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use itesp_bench::{
-    grid, jobs_from_env, ops_from_env, results_dir_from_env, save_json, target_retries_from_env,
-    target_timeout_from_env, CampaignOptions, Checkpoint, RunSet,
+    grid, jobs_from_env, ops_from_env, results_dir_from_env, save_json, target_timeout_from_env,
+    CampaignOptions, Checkpoint, RunSet,
 };
 use serde::Serialize;
 
@@ -60,7 +57,6 @@ struct TargetReport {
     target: String,
     seconds: f64,
     status: String,
-    attempts: u32,
 }
 
 #[derive(Serialize)]
@@ -359,14 +355,14 @@ fn run_child(exe: &std::path::Path, args: &[String], timeout: Option<Duration>) 
 }
 
 /// The arguments forwarded to children: everything we received except
-/// the `--target-*` flags, which only steer this orchestrator.
+/// `--target-timeout`, which only steers this orchestrator.
 fn forwarded_args() -> Vec<String> {
     let mut out = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        if a == "--target-timeout" || a == "--target-retries" {
+        if a == "--target-timeout" {
             let _ = args.next(); // consume the flag's value
-        } else if a.starts_with("--target-timeout=") || a.starts_with("--target-retries=") {
+        } else if a.starts_with("--target-timeout=") {
             // flag and value in one token; drop it
         } else {
             out.push(a);
@@ -380,7 +376,6 @@ fn finish(
     target: &str,
     start: Instant,
     status: TargetStatus,
-    attempts: u32,
     failures: &mut Vec<String>,
 ) -> TargetReport {
     if !status.is_ok() {
@@ -393,7 +388,6 @@ fn finish(
         target: target.to_owned(),
         seconds,
         status: status.describe(),
-        attempts,
     }
 }
 
@@ -410,7 +404,7 @@ fn run_grid(reports: &mut Vec<TargetReport>, failures: &mut Vec<String>) {
     let status = set
         .as_ref()
         .map_or(TargetStatus::Incomplete, |_| TargetStatus::Ok);
-    reports.push(finish("grid", start, status, 1, failures));
+    reports.push(finish("grid", start, status, failures));
     let Some(set) = set else {
         return;
     };
@@ -425,7 +419,7 @@ fn run_grid(reports: &mut Vec<TargetReport>, failures: &mut Vec<String>) {
         } else {
             TargetStatus::Incomplete
         };
-        reports.push(finish(fig.name, start, status, 1, failures));
+        reports.push(finish(fig.name, start, status, failures));
     }
     if all_saved {
         let _ = std::fs::remove_file(Checkpoint::path_for(&results_dir_from_env(), GRID_TARGET));
@@ -435,7 +429,6 @@ fn run_grid(reports: &mut Vec<TargetReport>, failures: &mut Vec<String>) {
 fn main() {
     let forwarded = forwarded_args();
     let timeout = target_timeout_from_env();
-    let retries = target_retries_from_env();
     let me = std::env::current_exe().expect("current exe path");
     let dir = me.parent().expect("exe directory");
     let mut reports = Vec::new();
@@ -444,28 +437,9 @@ fn main() {
     for t in CHILD_TARGETS {
         println!("\n================ {t} ================");
         let start = Instant::now();
-        let mut attempts = 0u32;
-        let status = loop {
-            attempts += 1;
-            let mut args = forwarded.clone();
-            if attempts > 1 && !args.iter().any(|a| a == "--resume") {
-                // Retries pick up the child's checkpoints instead of
-                // recomputing completed jobs.
-                args.push("--resume".to_owned());
-            }
-            let child_timeout =
-                timeout.or_else(|| DRILL_TARGETS.contains(t).then_some(DRILL_DEADLINE));
-            let status = run_child(&dir.join(t), &args, child_timeout);
-            if status.is_ok() || attempts > retries {
-                break status;
-            }
-            eprintln!(
-                "{t} {} (attempt {attempts} of {}); retrying with --resume",
-                status.describe(),
-                retries + 1
-            );
-        };
-        reports.push(finish(t, start, status, attempts, &mut failures));
+        let child_timeout = timeout.or_else(|| DRILL_TARGETS.contains(t).then_some(DRILL_DEADLINE));
+        let status = run_child(&dir.join(t), &forwarded, child_timeout);
+        reports.push(finish(t, start, status, &mut failures));
     }
 
     println!("\nWall-clock per target:");

@@ -17,7 +17,6 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 use serde::Serialize;
 use serde_json::FromValue;
@@ -34,7 +33,7 @@ pub struct CampaignOptions {
     pub results_dir: PathBuf,
     /// Resume from an existing checkpoint instead of starting over.
     pub resume: bool,
-    /// Worker/timeout/retry policy for the fan-out.
+    /// Worker/timeout policy for the fan-out.
     pub policy: JobPolicy,
     /// Operations per program — part of the checkpoint fingerprint.
     pub ops: usize,
@@ -55,8 +54,6 @@ impl CampaignOptions {
             policy: JobPolicy {
                 workers: crate::jobs_from_env(),
                 timeout: crate::job_timeout_from_env(),
-                retries: crate::job_retries_from_env(),
-                backoff: Duration::from_millis(100),
             },
             ops,
             job_only: crate::job_only_from_env(),
@@ -103,9 +100,7 @@ pub struct FailureRecord {
     pub job: usize,
     /// `"panicked"` or `"timed_out"`.
     pub kind: String,
-    /// Attempts made (1 + retries).
-    pub attempts: u32,
-    /// Last panic payload, or the deadline description.
+    /// The panic payload, or the deadline description.
     pub message: String,
     /// Ready-to-paste command that re-runs exactly this job.
     pub replay: String,
@@ -172,8 +167,7 @@ fn replay_line(target: &str, job: usize, ops: usize) -> String {
 }
 
 /// Run (or resume) the campaign for `target` with explicit options.
-/// `f` must be deterministic per job index — resumed and retried runs
-/// rely on it.
+/// `f` must be deterministic per job index — resumed runs rely on it.
 pub fn run_campaign_with<T, F>(target: &str, n: usize, opts: &CampaignOptions, f: F) -> Campaign<T>
 where
     T: Serialize + FromValue + Send + 'static,
@@ -213,12 +207,10 @@ where
         );
     }
 
-    let mut pending = ckpt.pending();
-    let mut skipped = Vec::new();
-    if let Some(only) = opts.job_only {
-        skipped = pending.iter().copied().filter(|&j| j != only).collect();
-        pending.retain(|&j| j == only);
-    }
+    let (pending, skipped): (Vec<usize>, Vec<usize>) = ckpt
+        .pending()
+        .into_iter()
+        .partition(|&j| opts.job_only.is_none_or(|only| j == only));
 
     let inject = match &opts.inject_panic {
         Some((t, job)) if t.as_str() == target => Some(*job),
@@ -245,18 +237,15 @@ where
         let job = pending[pos];
         match outcome {
             JobOutcome::Ok(v) => rows[job] = Some(v),
-            JobOutcome::Skipped => skipped.push(job),
-            JobOutcome::Panicked { message, attempts } => failures.push(FailureRecord {
+            JobOutcome::Panicked { message } => failures.push(FailureRecord {
                 job,
                 kind: "panicked".to_owned(),
-                attempts,
                 message,
                 replay: replay_line(target, job, opts.ops),
             }),
-            JobOutcome::TimedOut { timeout, attempts } => failures.push(FailureRecord {
+            JobOutcome::TimedOut { timeout } => failures.push(FailureRecord {
                 job,
                 kind: "timed_out".to_owned(),
-                attempts,
                 message: format!("exceeded {:.1} s deadline", timeout.as_secs_f64()),
                 replay: replay_line(target, job, opts.ops),
             }),

@@ -36,12 +36,12 @@ use itesp_trace::{MultiProgram, PAGE_BYTES};
 /// Memory operations per program for quick regeneration runs.
 pub const DEFAULT_OPS: usize = 20_000;
 
-const USAGE: &str = "[ops] [--jobs N] [--resume] [--recover] [--timeout SECONDS] [--retries N] \
-                     [--job-only I] [--target-timeout SECONDS] [--target-retries N]";
+const USAGE: &str = "[ops] [--jobs N] [--resume] [--recover] [--timeout SECONDS] [--job-only I] \
+                     [--target-timeout SECONDS]";
 
 /// Command-line arguments shared by every regenerator binary: an
 /// optional positional operation count plus the orchestration flags.
-/// The `target_*` pair only matters to `run_all` (per-child subprocess
+/// `target_timeout` only matters to `run_all` (per-child subprocess
 /// deadlines); the others apply to any figure binary.
 #[derive(Default)]
 struct CliArgs {
@@ -50,10 +50,8 @@ struct CliArgs {
     resume: bool,
     recover: bool,
     timeout: Option<String>,
-    retries: Option<String>,
     job_only: Option<String>,
     target_timeout: Option<String>,
-    target_retries: Option<String>,
 }
 
 /// Parse the command line once; every `*_from_env` accessor reads the
@@ -94,10 +92,6 @@ fn parse_cli() -> CliArgs {
             out.timeout = Some(value_of(&a, args.next()));
         } else if let Some(v) = a.strip_prefix("--timeout=") {
             out.timeout = Some(v.to_owned());
-        } else if a == "--retries" {
-            out.retries = Some(value_of(&a, args.next()));
-        } else if let Some(v) = a.strip_prefix("--retries=") {
-            out.retries = Some(v.to_owned());
         } else if a == "--job-only" {
             out.job_only = Some(value_of(&a, args.next()));
         } else if let Some(v) = a.strip_prefix("--job-only=") {
@@ -106,10 +100,6 @@ fn parse_cli() -> CliArgs {
             out.target_timeout = Some(value_of(&a, args.next()));
         } else if let Some(v) = a.strip_prefix("--target-timeout=") {
             out.target_timeout = Some(v.to_owned());
-        } else if a == "--target-retries" {
-            out.target_retries = Some(value_of(&a, args.next()));
-        } else if let Some(v) = a.strip_prefix("--target-retries=") {
-            out.target_retries = Some(v.to_owned());
         } else if out.ops.is_none() && !a.starts_with('-') {
             out.ops = Some(a);
         } else {
@@ -246,13 +236,6 @@ fn parse_timeout(value: &str, what: &str, source: &str) -> Duration {
     }
 }
 
-fn parse_retries(value: &str, what: &str, source: &str) -> u32 {
-    u32::try_from(parse_count(value, what, source)).unwrap_or_else(|_| {
-        eprintln!("error: {what} from {source} does not fit in u32 (got {value:?})");
-        std::process::exit(2);
-    })
-}
-
 /// Per-job watchdog deadline: `--timeout SECONDS` or
 /// `ITESP_JOB_TIMEOUT` (fractional seconds allowed). Unset = no
 /// deadline.
@@ -261,25 +244,11 @@ pub fn job_timeout_from_env() -> Option<Duration> {
         .map(|(v, src)| parse_timeout(&v, "job timeout", src))
 }
 
-/// Retry budget per job: `--retries N` or `ITESP_JOB_RETRIES`. Default
-/// 0 (one attempt).
-pub fn job_retries_from_env() -> u32 {
-    flag_or_env(&cli().retries, "ITESP_JOB_RETRIES")
-        .map_or(0, |(v, src)| parse_retries(&v, "retry count", src))
-}
-
 /// Per-target subprocess deadline for `run_all`: `--target-timeout
 /// SECONDS` or `ITESP_TARGET_TIMEOUT`. Unset = no deadline.
 pub fn target_timeout_from_env() -> Option<Duration> {
     flag_or_env(&cli().target_timeout, "ITESP_TARGET_TIMEOUT")
         .map(|(v, src)| parse_timeout(&v, "target timeout", src))
-}
-
-/// Retry budget per `run_all` target: `--target-retries N` or
-/// `ITESP_TARGET_RETRIES`. Default 0 (one attempt).
-pub fn target_retries_from_env() -> u32 {
-    flag_or_env(&cli().target_retries, "ITESP_TARGET_RETRIES")
-        .map_or(0, |(v, src)| parse_retries(&v, "target retry count", src))
 }
 
 /// Replay filter: `--job-only I` or `ITESP_JOB_ONLY` — run only this

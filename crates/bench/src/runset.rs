@@ -10,9 +10,9 @@
 //! (benchmark, program copies): a job builds its `MultiProgram` once
 //! and runs each distinct parameter set of that trace in first-request
 //! order. Job rows are whole [`RunResult`]s, which round-trip
-//! byte-exactly through the checkpoint, so `--resume`, `--timeout`,
-//! `--retries` and panic isolation behave as for any campaign. The set
-//! itself lives in memory only.
+//! byte-exactly through the checkpoint, so `--resume`, `--timeout`
+//! and panic isolation behave as for any campaign. The set itself
+//! lives in memory only.
 
 use std::collections::HashMap;
 

@@ -21,7 +21,6 @@ fn fig08(results_dir: &Path) -> Command {
         "ITESP_OPS",
         "ITESP_RESUME",
         "ITESP_JOB_TIMEOUT",
-        "ITESP_JOB_RETRIES",
         "ITESP_JOB_ONLY",
         "ITESP_INJECT_PANIC",
     ] {
@@ -163,8 +162,8 @@ fn injected_panic_is_reported_and_resume_completes_identically() {
 }
 
 #[test]
-fn malformed_env_is_a_hard_error_naming_the_variable() {
-    let dir = scratch_dir("badenv");
+fn malformed_input_is_a_hard_error_naming_the_source() {
+    let dir = scratch_dir("badinput");
     let out = fig08(&dir)
         .env("ITESP_OPS", "not-a-number")
         .stdout(Stdio::null())
@@ -173,5 +172,24 @@ fn malformed_env_is_a_hard_error_naming_the_variable() {
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("ITESP_OPS"), "{stderr}");
+
+    // Jobs and run_all children run once: the retry flags are gone.
+    let run_all = || {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_run_all"));
+        cmd.env("ITESP_RESULTS_DIR", &dir)
+            .env("ITESP_BENCH_LOG", dir.join("bench.json"));
+        cmd
+    };
+    for (mut cmd, flag) in [(fig08(&dir), "retries"), (run_all(), "target-retries")] {
+        let flag = format!("--{flag}");
+        let out = cmd
+            .args([OPS, flag.as_str(), "1"])
+            .stdout(Stdio::null())
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unexpected argument"), "{flag}: {stderr}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

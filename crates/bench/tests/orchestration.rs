@@ -1,14 +1,12 @@
-//! Orchestration-layer integration tests: watchdog timeouts, retries,
-//! and campaign failure manifests — all through the public API with
+//! Orchestration-layer integration tests: watchdog timeouts and
+//! campaign failure manifests — all through the public API with
 //! explicit [`CampaignOptions`], no process-global env.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use itesp_bench::{run_campaign_with, Campaign, CampaignOptions};
-use itesp_orchestrate::{run_isolated, JobOutcome, JobPolicy};
+use itesp_orchestrate::JobPolicy;
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -22,41 +20,12 @@ fn scratch_dir(tag: &str) -> PathBuf {
 }
 
 #[test]
-fn timed_out_job_is_killed_and_retried_to_success() {
-    static TRIES: AtomicU32 = AtomicU32::new(0);
-    let policy = JobPolicy {
-        workers: 1,
-        timeout: Some(Duration::from_millis(40)),
-        retries: 2,
-        backoff: Duration::from_millis(1),
-    };
-    let out = run_isolated(
-        &[0],
-        &policy,
-        Arc::new(|i: usize| {
-            // First attempt hangs past the deadline; the retry returns
-            // promptly. The hung attempt's thread is abandoned, so its
-            // (eventual) result must not leak into the outcome.
-            if TRIES.fetch_add(1, Ordering::SeqCst) == 0 {
-                std::thread::sleep(Duration::from_secs(30));
-            }
-            i + 100
-        }),
-        |_, _| {},
-    );
-    assert_eq!(out[0], JobOutcome::Ok(100));
-    assert_eq!(TRIES.load(Ordering::SeqCst), 2, "exactly one retry");
-}
-
-#[test]
 fn campaign_records_timeout_failure_with_replay_line() {
     let dir = scratch_dir("timeout");
     let mut opts = CampaignOptions::for_tests(&dir, 50);
     opts.policy = JobPolicy {
         workers: 1,
         timeout: Some(Duration::from_millis(40)),
-        retries: 0,
-        backoff: Duration::from_millis(1),
     };
     let c: Campaign<u64> = run_campaign_with("figT", 3, &opts, |i| {
         if i == 1 {

@@ -1,21 +1,23 @@
-//! # itesp-orchestrate — fault-tolerant job execution policies
+//! # itesp-orchestrate — fault-isolated job execution
 //!
-//! The one timeout/retry/backoff implementation shared by the batch
-//! side (`itesp-bench`'s checkpointed campaigns) and the serving side
-//! (`itesp-serve`'s per-connection policies).
+//! The one panic-isolation and deadline implementation shared by the
+//! batch side (`itesp-bench`'s checkpointed campaigns) and the serving
+//! side (`itesp-serve`'s shard workers).
 //!
-//! [`run_isolated`] fans jobs across worker threads, but each job
-//! attempt runs under `catch_unwind` (one panicking job no longer
-//! poisons the whole fan-out), optionally under a watchdog deadline,
-//! and failed attempts retry with exponential backoff. Every job
+//! [`run_isolated`] fans jobs across worker threads, but each job runs
+//! once under `catch_unwind` (one panicking job no longer poisons the
+//! whole fan-out) and optionally under a watchdog deadline. Every job
 //! resolves to a [`JobOutcome`] instead of `T`, so the caller decides
 //! what a failure costs: the campaign layer records it in a failure
 //! manifest and keeps going, and a serve connection turns it into a
 //! typed error frame for that client alone.
 //!
-//! [`run_policied`] is the single-job entry point: one attempt chain
-//! under the same policy, for callers (shard workers, connection
-//! handlers) that execute jobs one at a time rather than fanning out.
+//! Jobs are deterministic, so a failed job is never re-run here: it
+//! would only fail again. Campaigns replay it on demand instead
+//! (`--job-only`, `--resume`).
+//!
+//! [`run_policied`] is the single-job entry point, for callers (shard
+//! workers) that execute jobs one at a time rather than fanning out.
 //!
 //! This crate is deliberately environment-free — policy comes in as a
 //! [`JobPolicy`] value, which keeps the layer testable without touching
@@ -26,63 +28,27 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
-/// How one job ended, after all retry attempts.
+/// How one job ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobOutcome<T> {
     /// The job returned a result.
     Ok(T),
-    /// Every attempt panicked; `message` is the last panic payload.
-    Panicked { message: String, attempts: u32 },
-    /// Every attempt overran the watchdog deadline. The hung attempt
-    /// threads are abandoned (they cannot be killed), so their work is
-    /// discarded even if they eventually finish.
-    TimedOut { timeout: Duration, attempts: u32 },
-    /// The job was not run (filtered out by `ITESP_JOB_ONLY`).
-    Skipped,
+    /// The job panicked; `message` is the panic payload.
+    Panicked { message: String },
+    /// The job overran the watchdog deadline. Its thread is abandoned
+    /// (it cannot be killed), so its work is discarded even if it
+    /// eventually finishes.
+    TimedOut { timeout: Duration },
 }
 
-impl<T> JobOutcome<T> {
-    /// Whether the job produced a result.
-    pub fn is_ok(&self) -> bool {
-        matches!(self, JobOutcome::Ok(_))
-    }
-
-    /// The result, if any.
-    pub fn ok(self) -> Option<T> {
-        match self {
-            JobOutcome::Ok(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Short failure description for manifests and logs (`None` for
-    /// `Ok`/`Skipped`).
-    pub fn failure(&self) -> Option<String> {
-        match self {
-            JobOutcome::Ok(_) | JobOutcome::Skipped => None,
-            JobOutcome::Panicked { message, attempts } => {
-                Some(format!("panicked after {attempts} attempt(s): {message}"))
-            }
-            JobOutcome::TimedOut { timeout, attempts } => Some(format!(
-                "timed out after {attempts} attempt(s) of {:.1} s",
-                timeout.as_secs_f64()
-            )),
-        }
-    }
-}
-
-/// Execution policy for one fan-out (or one serve connection).
+/// Execution policy for one fan-out.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobPolicy {
     /// Worker threads (clamped to the job count; 1 = serial).
     pub workers: usize,
-    /// Per-attempt watchdog deadline. `None` runs attempts in the
-    /// worker thread itself with no deadline.
+    /// Per-job watchdog deadline. `None` runs each job in the worker
+    /// thread itself with no deadline.
     pub timeout: Option<Duration>,
-    /// Extra attempts after a failed one.
-    pub retries: u32,
-    /// Sleep before the first retry; doubles per subsequent retry.
-    pub backoff: Duration,
 }
 
 impl Default for JobPolicy {
@@ -90,14 +56,12 @@ impl Default for JobPolicy {
         JobPolicy {
             workers: 1,
             timeout: None,
-            retries: 0,
-            backoff: Duration::from_millis(100),
         }
     }
 }
 
 impl JobPolicy {
-    /// Serial, no deadline, no retry — the unit-test baseline.
+    /// Serial, no deadline — the unit-test baseline.
     pub fn serial() -> Self {
         Self::default()
     }
@@ -120,24 +84,19 @@ fn payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// One attempt failure, before the retry policy decides what to do.
-enum AttemptError {
-    Panicked(String),
-    TimedOut(Duration),
-}
-
 /// Run `f(job)` once: in-thread when there is no deadline, under a
-/// detached watchdog thread otherwise. A timed-out attempt's thread is
+/// detached watchdog thread otherwise. A timed-out job's thread is
 /// abandoned, not killed — which is why `f` must be `'static` and
 /// shared via `Arc`.
-fn run_once<T, F>(job: usize, timeout: Option<Duration>, f: &Arc<F>) -> Result<T, AttemptError>
+fn run_once<T, F>(job: usize, timeout: Option<Duration>, f: &Arc<F>) -> JobOutcome<T>
 where
     T: Send + 'static,
     F: Fn(usize) -> T + Send + Sync + 'static,
 {
+    let panicked = |message| JobOutcome::Panicked { message };
     let Some(timeout) = timeout else {
         return catch_unwind(AssertUnwindSafe(|| f(job)))
-            .map_err(|p| AttemptError::Panicked(payload_message(p)));
+            .map_or_else(|p| panicked(payload_message(p)), JobOutcome::Ok);
     };
     let (tx, rx) = mpsc::channel();
     let fc = Arc::clone(f);
@@ -149,66 +108,34 @@ where
             let _ = tx.send(result);
         });
     if let Err(e) = spawned {
-        return Err(AttemptError::Panicked(format!(
-            "could not spawn job thread: {e}"
-        )));
+        return panicked(format!("could not spawn job thread: {e}"));
     }
     match rx.recv_timeout(timeout) {
-        Ok(Ok(v)) => Ok(v),
-        Ok(Err(message)) => Err(AttemptError::Panicked(message)),
-        Err(_) => Err(AttemptError::TimedOut(timeout)),
+        Ok(Ok(v)) => JobOutcome::Ok(v),
+        Ok(Err(message)) => panicked(message),
+        Err(_) => JobOutcome::TimedOut { timeout },
     }
 }
 
-/// Run one job to completion under the retry policy.
-fn run_attempts<T, F>(job: usize, policy: &JobPolicy, f: &Arc<F>) -> JobOutcome<T>
-where
-    T: Send + 'static,
-    F: Fn(usize) -> T + Send + Sync + 'static,
-{
-    let attempts = policy.retries + 1;
-    let mut backoff = policy.backoff;
-    for attempt in 1..=attempts {
-        match run_once(job, policy.timeout, f) {
-            Ok(v) => return JobOutcome::Ok(v),
-            Err(e) if attempt == attempts => {
-                return match e {
-                    AttemptError::Panicked(message) => JobOutcome::Panicked { message, attempts },
-                    AttemptError::TimedOut(timeout) => JobOutcome::TimedOut { timeout, attempts },
-                }
-            }
-            Err(_) => {
-                std::thread::sleep(backoff);
-                backoff = backoff.saturating_mul(2);
-            }
-        }
-    }
-    unreachable!("attempt loop always returns")
-}
-
-/// Run a single job under the policy's watchdog deadline, retry
-/// budget, and panic isolation — the serving-side counterpart of
-/// [`run_isolated`]. `policy.workers` is ignored (there is one job).
-///
-/// `f` should be deterministic — retries re-invoke it expecting the
-/// same result, exactly as the batch fan-out does.
-pub fn run_policied<T, F>(policy: &JobPolicy, f: F) -> JobOutcome<T>
+/// Run a single job once under an optional watchdog deadline, with
+/// panic isolation — the serving-side counterpart of [`run_isolated`].
+pub fn run_policied<T, F>(timeout: Option<Duration>, f: F) -> JobOutcome<T>
 where
     T: Send + 'static,
     F: Fn() -> T + Send + Sync + 'static,
 {
-    run_attempts(0, policy, &Arc::new(move |_job| f()))
+    run_once(0, timeout, &Arc::new(move |_job| f()))
 }
 
-/// Fan the jobs named by `indices` across `policy.workers` threads with
-/// per-job panic isolation, watchdog deadlines, and retry. Returns one
-/// [`JobOutcome`] per index, **aligned with `indices`** regardless of
-/// completion order; `on_done(index, outcome)` fires as each job
-/// settles (under a lock, so it may write checkpoints without further
-/// synchronization).
+/// Fan the jobs named by `indices` across `policy.workers` threads,
+/// each run once with panic isolation and the policy's watchdog
+/// deadline. Returns one [`JobOutcome`] per index, **aligned with
+/// `indices`** regardless of completion order; `on_done(index,
+/// outcome)` fires as each job settles (under a lock, so it may write
+/// checkpoints without further synchronization).
 ///
-/// `f` must be deterministic per index — retries and resumed runs
-/// re-invoke it with the same index and expect the same result.
+/// `f` must be deterministic per index — resumed runs re-invoke it
+/// with the same index and expect the same result.
 pub fn run_isolated<T, F, C>(
     indices: &[usize],
     policy: &JobPolicy,
@@ -235,7 +162,7 @@ where
             if pos >= n {
                 break;
             }
-            let outcome = run_attempts(indices[pos], policy, &f);
+            let outcome = run_once(indices[pos], policy.timeout, &f);
             let mut guard = done.lock().expect("orchestrator lock");
             let (slots, on_done) = &mut *guard;
             on_done(indices[pos], &outcome);
@@ -247,7 +174,7 @@ where
         let handles: Vec<_> = (1..workers).map(|_| s.spawn(run_worker)).collect();
         run_worker();
         for h in handles {
-            // Workers cannot panic: job panics are caught per-attempt.
+            // Workers cannot panic: job panics are caught per job.
             h.join().expect("orchestrator worker panicked");
         }
     });
@@ -272,8 +199,8 @@ mod tests {
             Arc::new(|i: usize| i * 10),
             |_, _| {},
         );
-        let values: Vec<usize> = out.into_iter().map(|o| o.ok().unwrap()).collect();
-        assert_eq!(values, vec![50, 20, 90, 0]);
+        let want: Vec<_> = [50, 20, 90, 0].map(JobOutcome::Ok).into();
+        assert_eq!(out, want);
     }
 
     #[test]
@@ -290,9 +217,8 @@ mod tests {
         assert_eq!(out[0], JobOutcome::Ok(0));
         assert_eq!(out[2], JobOutcome::Ok(2));
         match &out[1] {
-            JobOutcome::Panicked { message, attempts } => {
+            JobOutcome::Panicked { message } => {
                 assert!(message.contains("job one detonates"), "{message}");
-                assert_eq!(*attempts, 1);
             }
             other => panic!("expected Panicked, got {other:?}"),
         }
@@ -315,61 +241,40 @@ mod tests {
             }),
             |_, _| {},
         );
-        match out[0] {
-            JobOutcome::TimedOut { timeout, attempts } => {
-                assert_eq!(timeout, Duration::from_millis(25));
-                assert_eq!(attempts, 1);
+        assert_eq!(
+            out[0],
+            JobOutcome::TimedOut {
+                timeout: Duration::from_millis(25)
             }
-            ref other => panic!("expected TimedOut, got {other:?}"),
-        }
+        );
         assert_eq!(out[1], JobOutcome::Ok(1));
     }
 
     #[test]
-    fn transient_panic_is_retried_until_success() {
-        static TRIES: AtomicU32 = AtomicU32::new(0);
-        let policy = JobPolicy {
-            retries: 3,
-            backoff: Duration::from_millis(1),
-            ..JobPolicy::serial()
-        };
-        let out = run_isolated(
-            &[7],
-            &policy,
-            Arc::new(|i: usize| {
-                if TRIES.fetch_add(1, Ordering::SeqCst) < 2 {
-                    panic!("transient");
-                }
-                i
-            }),
-            |_, _| {},
-        );
-        assert_eq!(out[0], JobOutcome::Ok(7));
-        assert_eq!(TRIES.load(Ordering::SeqCst), 3);
-    }
-
-    #[test]
-    fn retries_are_bounded() {
-        static TRIES: AtomicU32 = AtomicU32::new(0);
-        let policy = JobPolicy {
-            retries: 2,
-            backoff: Duration::from_millis(1),
-            ..JobPolicy::serial()
-        };
+    fn a_panicking_job_runs_exactly_once() {
+        static ISOLATED: AtomicU32 = AtomicU32::new(0);
         let out: Vec<JobOutcome<usize>> = run_isolated(
             &[0],
-            &policy,
+            &JobPolicy::serial(),
             Arc::new(|_| {
-                TRIES.fetch_add(1, Ordering::SeqCst);
+                ISOLATED.fetch_add(1, Ordering::SeqCst);
                 panic!("always fails");
             }),
             |_, _| {},
         );
-        match &out[0] {
-            JobOutcome::Panicked { attempts, .. } => assert_eq!(*attempts, 3),
+        assert!(matches!(out[0], JobOutcome::Panicked { .. }), "{out:?}");
+        assert_eq!(ISOLATED.load(Ordering::SeqCst), 1);
+
+        static POLICIED: AtomicU32 = AtomicU32::new(0);
+        let out: JobOutcome<u32> = run_policied(Some(Duration::from_secs(60)), || {
+            POLICIED.fetch_add(1, Ordering::SeqCst);
+            panic!("connection job detonates");
+        });
+        match out {
+            JobOutcome::Panicked { message } => assert!(message.contains("detonates"), "{message}"),
             other => panic!("expected Panicked, got {other:?}"),
         }
-        assert_eq!(TRIES.load(Ordering::SeqCst), 3);
+        assert_eq!(POLICIED.load(Ordering::SeqCst), 1);
     }
 
     #[test]
@@ -380,7 +285,7 @@ mod tests {
             &JobPolicy::serial().with_workers(4),
             Arc::new(|i: usize| i),
             |i, o: &JobOutcome<usize>| {
-                assert!(o.is_ok());
+                assert_eq!(*o, JobOutcome::Ok(i));
                 seen.push(i);
             },
         );
@@ -391,37 +296,16 @@ mod tests {
     #[test]
     fn run_policied_single_job_paths() {
         // Success.
-        assert_eq!(
-            run_policied(&JobPolicy::serial(), || 41 + 1),
-            JobOutcome::Ok(42)
-        );
-        // Panic isolation with a bounded retry budget.
-        static TRIES: AtomicU32 = AtomicU32::new(0);
-        let policy = JobPolicy {
-            retries: 1,
-            backoff: Duration::from_millis(1),
-            ..JobPolicy::serial()
-        };
-        let out: JobOutcome<u32> = run_policied(&policy, || {
-            TRIES.fetch_add(1, Ordering::SeqCst);
-            panic!("connection job detonates");
-        });
-        match out {
-            JobOutcome::Panicked { message, attempts } => {
-                assert!(message.contains("detonates"), "{message}");
-                assert_eq!(attempts, 2);
-            }
-            other => panic!("expected Panicked, got {other:?}"),
-        }
-        assert_eq!(TRIES.load(Ordering::SeqCst), 2);
+        assert_eq!(run_policied(None, || 41 + 1), JobOutcome::Ok(42));
         // Watchdog deadline.
-        let policy = JobPolicy {
-            timeout: Some(Duration::from_millis(20)),
-            ..JobPolicy::serial()
-        };
-        let out: JobOutcome<()> = run_policied(&policy, || {
+        let out: JobOutcome<()> = run_policied(Some(Duration::from_millis(20)), || {
             std::thread::sleep(Duration::from_secs(60));
         });
-        assert!(matches!(out, JobOutcome::TimedOut { .. }), "{out:?}");
+        assert_eq!(
+            out,
+            JobOutcome::TimedOut {
+                timeout: Duration::from_millis(20)
+            }
+        );
     }
 }

@@ -6,7 +6,8 @@
 //!   daemon. `panic-tenant=<id>` makes [`crate::tenant::run_tenant`]
 //!   panic for that tenant, the deliberate worker panic the drill uses
 //!   to prove shard isolation. A malformed directive is a hard error
-//!   at startup (the repo's `ITESP_*` convention), not a silent no-op.
+//!   at daemon startup (the repo's `ITESP_*` convention), not a silent
+//!   no-op.
 //! * **Client-side** — [`ChaosMode`] behaviors a hostile client can
 //!   exhibit (disconnect mid-frame, slow-loris, garbage, oversized
 //!   declarations) plus a seeded corpus of malformed wire blobs for
@@ -21,21 +22,31 @@ pub const CHAOS_ENV: &str = "ITESP_SERVE_CHAOS";
 ///
 /// # Panics
 /// On a malformed directive — misconfiguration must surface, not
-/// silently disable the drill.
+/// silently disable the drill. The daemon rejects one at startup (see
+/// [`crate::daemon`]), so this only fires when the variable changes
+/// under a running server.
 pub fn panic_tenant() -> Option<u64> {
     let spec = std::env::var(CHAOS_ENV).ok()?;
+    parse(&spec).unwrap_or_else(|e| panic!("{CHAOS_ENV}: {e}"))
+}
+
+/// The panic tenant named by a directive list, or why it is malformed.
+///
+/// # Errors
+/// An unknown directive, or a `panic-tenant` id that is not a u64.
+pub(crate) fn parse(spec: &str) -> Result<Option<u64>, String> {
     let mut target = None;
     for directive in spec.split(',').filter(|d| !d.trim().is_empty()) {
         let d = directive.trim();
         let Some(id) = d.strip_prefix("panic-tenant=") else {
-            panic!("{CHAOS_ENV}: unknown directive {d:?} (want panic-tenant=<id>)");
+            return Err(format!("unknown directive {d:?} (want panic-tenant=<id>)"));
         };
-        target = Some(
-            id.parse()
-                .unwrap_or_else(|_| panic!("{CHAOS_ENV}: panic-tenant wants a u64, got {id:?}")),
-        );
+        let id = id
+            .parse()
+            .map_err(|_| format!("panic-tenant wants a u64, got {id:?}"))?;
+        target = Some(id);
     }
-    target
+    Ok(target)
 }
 
 /// Ways a chaotic client misbehaves on the wire.

@@ -3,9 +3,9 @@
 //!
 //! The retrying client mirrors production reality: ports change across
 //! daemon restarts, so every attempt re-reads the `ports` file; `Busy`
-//! and transport failures back off (doubling) and retry; protocol and
-//! parameter errors do not retry — resending identical bytes
-//! reproduces them.
+//! and transport failures back off (doubling) and retry; protocol
+//! errors, parameter errors and worker panics do not retry — resending
+//! identical bytes reproduces them.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
@@ -36,11 +36,8 @@ fn error_from_wire(code: u16, msg: String) -> ServeError {
     match code {
         12 => ServeError::Busy,
         13 => ServeError::Draining,
-        14 => ServeError::Timeout { ms: 0, attempts: 0 },
-        15 => ServeError::WorkerPanicked {
-            message: msg,
-            attempts: 0,
-        },
+        14 => ServeError::Timeout { ms: 0 },
+        15 => ServeError::WorkerPanicked { message: msg },
         _ => ServeError::Malformed(format!("server error {code}: {msg}")),
     }
 }

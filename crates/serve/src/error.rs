@@ -43,10 +43,10 @@ pub enum ServeError {
     /// The daemon is draining (SIGTERM received); no new admissions.
     Draining,
     /// The shard worker exceeded its deadline.
-    Timeout { ms: u64, attempts: u32 },
+    Timeout { ms: u64 },
     /// The shard worker panicked; the shard survives, this request
     /// does not.
-    WorkerPanicked { message: String, attempts: u32 },
+    WorkerPanicked { message: String },
     /// The simulation rejected the request parameters.
     Engine(String),
     /// The peer idled past the read deadline (slow-loris defense).
@@ -78,10 +78,11 @@ impl ServeError {
     }
 
     /// Should a well-behaved client retry this failure? `Busy`,
-    /// `Draining`, timeouts, worker panics, and transport errors are
-    /// transient (the daemon may have restarted or the queue emptied);
-    /// protocol and parameter errors are not — resending the same bytes
-    /// reproduces them.
+    /// `Draining`, timeouts, and transport errors are transient (the
+    /// daemon may have restarted or the queue emptied); protocol and
+    /// parameter errors are not — resending the same bytes reproduces
+    /// them — and neither is a worker panic, since the simulation is
+    /// deterministic and would panic again.
     pub fn is_retryable(&self) -> bool {
         matches!(
             self,
@@ -89,7 +90,6 @@ impl ServeError {
                 | ServeError::Busy
                 | ServeError::Draining
                 | ServeError::Timeout { .. }
-                | ServeError::WorkerPanicked { .. }
                 | ServeError::Truncated { .. }
         )
     }
@@ -124,14 +124,9 @@ impl fmt::Display for ServeError {
             }
             ServeError::Busy => write!(f, "busy: shard queue full, retry later"),
             ServeError::Draining => write!(f, "draining: daemon is shutting down"),
-            ServeError::Timeout { ms, attempts } => {
-                write!(f, "request timed out after {ms} ms ({attempts} attempt(s))")
-            }
-            ServeError::WorkerPanicked { message, attempts } => {
-                write!(
-                    f,
-                    "shard worker panicked ({attempts} attempt(s)): {message}"
-                )
+            ServeError::Timeout { ms } => write!(f, "request timed out after {ms} ms"),
+            ServeError::WorkerPanicked { message } => {
+                write!(f, "shard worker panicked: {message}")
             }
             ServeError::Engine(e) => write!(f, "engine rejected request: {e}"),
             ServeError::SlowPeer => write!(f, "peer too slow: read deadline exceeded"),
@@ -193,10 +188,9 @@ mod tests {
             },
             ServeError::Busy,
             ServeError::Draining,
-            ServeError::Timeout { ms: 1, attempts: 1 },
+            ServeError::Timeout { ms: 1 },
             ServeError::WorkerPanicked {
                 message: "p".into(),
-                attempts: 1,
             },
             ServeError::Engine("e".into()),
             ServeError::SlowPeer,
@@ -211,7 +205,11 @@ mod tests {
     fn retryability_separates_transient_from_protocol_errors() {
         assert!(ServeError::Busy.is_retryable());
         assert!(ServeError::Draining.is_retryable());
-        assert!(ServeError::Timeout { ms: 1, attempts: 1 }.is_retryable());
+        assert!(ServeError::Timeout { ms: 1 }.is_retryable());
+        assert!(!ServeError::WorkerPanicked {
+            message: "p".into()
+        }
+        .is_retryable());
         assert!(!ServeError::BadMagic(*b"ABCD").is_retryable());
         assert!(!ServeError::UnknownScheme("x".into()).is_retryable());
         assert!(!ServeError::RecordCount {

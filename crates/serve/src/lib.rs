@@ -5,10 +5,11 @@
 //! length-prefixed trace records at a daemon that multiplexes them onto
 //! sharded [`itesp_sim::System`] instances. The robustness layer is the
 //! point — admission control with explicit `Busy` rejections, bounded
-//! queues that backpressure the socket, per-connection retry policies
-//! shared with the batch side via [`itesp_orchestrate`], panic-isolated
-//! shard workers, and a SIGTERM drain that snapshots security state via
-//! [`itesp_snap`] so a restarted daemon recovers where it left off.
+//! queues that backpressure the socket, panic-isolated shard workers
+//! under a watchdog deadline shared with the batch side via
+//! [`itesp_orchestrate`], and a SIGTERM drain that snapshots security
+//! state via [`itesp_snap`] so a restarted daemon recovers where it
+//! left off.
 //!
 //! Module map:
 //! - [`error`] — typed `ServeError` for every way a connection can fail.
@@ -17,11 +18,13 @@
 //! - [`registry`] — crash-consistent per-tenant stats, snapshot wire format.
 //! - [`shard`] — bounded-queue shard workers with panic isolation.
 //! - [`server`] — accept loop, admission control, drain, metrics endpoint.
+//! - [`daemon`] — the daemon's environment and entry point.
 //! - [`chaos`] — fault injection used by the `figserve` drill.
 //! - [`client`] — a well-behaved (and deliberately ill-behaved) test client.
 
 pub mod chaos;
 pub mod client;
+pub mod daemon;
 pub mod error;
 pub mod protocol;
 pub mod registry;

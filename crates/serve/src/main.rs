@@ -1,76 +1,6 @@
 //! `itesp-serve` — the simulator as a long-running traffic endpoint.
-//!
-//! ```text
-//! ITESP_SERVE_STATE=/path/to/state itesp-serve
-//! ```
-//!
-//! Environment (all optional except noted; malformed values are hard
-//! errors, per the repo's `ITESP_*` convention):
-//!
-//! * `ITESP_SERVE_STATE` — state directory (`ports` file + `snaps/`).
-//!   Default `serve-state` under the working directory.
-//! * `ITESP_SERVE_SHARDS` — engine shards / worker threads (default 4).
-//! * `ITESP_SERVE_QUEUE` — admitted requests per shard (default 8).
-//! * `ITESP_SERVE_SNAP_EVERY` — snapshot the registry every N
-//!   completions (default 8; 0 = drain-time only).
-//! * `ITESP_SERVE_TIMEOUT_MS` — per-attempt worker deadline
-//!   (default 120000).
-//! * `ITESP_SERVE_RETRIES` — worker retries per request (default 1).
-//! * `ITESP_SERVE_READ_TIMEOUT_MS` — socket read deadline, the
-//!   slow-loris defense (default 5000).
-//! * `ITESP_SERVE_CHAOS` — fault-injection directives (see
-//!   `itesp_serve::chaos`).
-//!
-//! SIGTERM drains: new admissions are refused, in-flight requests
-//! finish, the stats registry is snapshotted, and the process exits 0.
-//! A restart recovers the registry from the snapshot store.
-
-use std::time::Duration;
-
-use itesp_serve::server::{install_sigterm_handler, Server};
-use itesp_serve::ServerConfig;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    match std::env::var(name) {
-        Ok(s) => s
-            .trim()
-            .parse()
-            .unwrap_or_else(|_| panic!("{name} not a u64: {s:?}")),
-        Err(_) => default,
-    }
-}
+//! Configuration and exit codes: see `itesp_serve::daemon`.
 
 fn main() {
-    install_sigterm_handler();
-    let state_dir = std::env::var("ITESP_SERVE_STATE").unwrap_or_else(|_| "serve-state".into());
-    let mut cfg = ServerConfig::new(state_dir);
-    cfg.shards = env_u64("ITESP_SERVE_SHARDS", cfg.shards as u64) as usize;
-    cfg.queue_depth = env_u64("ITESP_SERVE_QUEUE", cfg.queue_depth as u64) as usize;
-    cfg.snap_every = env_u64("ITESP_SERVE_SNAP_EVERY", cfg.snap_every);
-    cfg.policy.timeout = Some(Duration::from_millis(env_u64(
-        "ITESP_SERVE_TIMEOUT_MS",
-        120_000,
-    )));
-    cfg.policy.retries = env_u64("ITESP_SERVE_RETRIES", u64::from(cfg.policy.retries)) as u32;
-    cfg.read_timeout = Duration::from_millis(env_u64("ITESP_SERVE_READ_TIMEOUT_MS", 5_000));
-
-    let server = match Server::start(cfg) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("itesp-serve: failed to start: {e}");
-            std::process::exit(2);
-        }
-    };
-    eprintln!(
-        "[itesp-serve: traffic {} metrics {}]",
-        server.traffic_addr(),
-        server.metrics_addr()
-    );
-    match server.run() {
-        Ok(()) => std::process::exit(0),
-        Err(e) => {
-            eprintln!("itesp-serve: fatal: {e}");
-            std::process::exit(1);
-        }
-    }
+    itesp_serve::daemon::main()
 }

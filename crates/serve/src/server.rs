@@ -34,7 +34,7 @@ use std::thread;
 use std::time::Duration;
 
 use itesp_core::Scheme;
-use itesp_orchestrate::{JobOutcome, JobPolicy};
+use itesp_orchestrate::JobOutcome;
 use itesp_snap::SnapshotStore;
 use itesp_trace::StreamDecoder;
 
@@ -77,8 +77,8 @@ pub struct ServerConfig {
     pub shards: usize,
     /// Outstanding requests admitted per shard (queued + running).
     pub queue_depth: usize,
-    /// Timeout/retry policy each shard job runs under.
-    pub policy: JobPolicy,
+    /// Watchdog deadline each shard job runs under, once.
+    pub job_timeout: Duration,
     /// State directory: `ports` file + `snaps/` snapshot store.
     pub state_dir: PathBuf,
     /// Snapshot the registry every N completions (0 = drain-only).
@@ -94,12 +94,7 @@ impl ServerConfig {
         ServerConfig {
             shards: 4,
             queue_depth: 8,
-            policy: JobPolicy {
-                workers: 1,
-                timeout: Some(Duration::from_secs(120)),
-                retries: 1,
-                backoff: Duration::from_millis(50),
-            },
+            job_timeout: Duration::from_secs(120),
             state_dir: state_dir.into(),
             snap_every: 8,
             read_timeout: Duration::from_secs(5),
@@ -123,10 +118,16 @@ impl Server {
     /// Bind, recover state, publish ports, spawn shards.
     ///
     /// # Errors
-    /// Fails on I/O errors and — deliberately — on a corrupt store or
-    /// an anti-rollback violation: refusing to serve from rolled-back
+    /// Fails on a zero shard count, queue depth or job timeout, on I/O
+    /// errors, and — deliberately — on a corrupt store or an
+    /// anti-rollback violation: refusing to serve from rolled-back
     /// security state is the point.
     pub fn start(cfg: ServerConfig) -> Result<Server, ServeError> {
+        if cfg.shards == 0 || cfg.queue_depth == 0 || cfg.job_timeout.is_zero() {
+            return Err(ServeError::Engine(
+                "shards, queue depth and job timeout must be nonzero".into(),
+            ));
+        }
         std::fs::create_dir_all(&cfg.state_dir).map_err(ServeError::Io)?;
         let store = SnapshotStore::open(cfg.state_dir.join("snaps"))
             .map_err(|e| ServeError::Engine(format!("snapshot store: {e}")))?;
@@ -142,7 +143,7 @@ impl Server {
         let pool = Arc::new(ShardPool::spawn(
             cfg.shards,
             cfg.queue_depth,
-            cfg.policy.clone(),
+            cfg.job_timeout,
             Arc::clone(&registry),
             Some(Arc::clone(&store)),
             cfg.snap_every,
@@ -445,23 +446,17 @@ fn serve_request(
             write_frame(stream, FrameKind::Result, json.as_bytes())
         }
         JobOutcome::Ok(Err(e)) => write_frame(stream, FrameKind::ErrorFrame, &encode_error(&e)),
-        JobOutcome::Panicked { message, attempts } => write_frame(
+        JobOutcome::Panicked { message } => write_frame(
             stream,
             FrameKind::ErrorFrame,
-            &encode_error(&ServeError::WorkerPanicked { message, attempts }),
+            &encode_error(&ServeError::WorkerPanicked { message }),
         ),
-        JobOutcome::TimedOut { timeout, attempts } => write_frame(
+        JobOutcome::TimedOut { timeout } => write_frame(
             stream,
             FrameKind::ErrorFrame,
             &encode_error(&ServeError::Timeout {
                 ms: timeout.as_millis() as u64,
-                attempts,
             }),
-        ),
-        JobOutcome::Skipped => write_frame(
-            stream,
-            FrameKind::ErrorFrame,
-            &encode_error(&ServeError::Engine("job skipped by filter".into())),
         ),
     }
 }

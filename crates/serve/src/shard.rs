@@ -1,11 +1,11 @@
 //! Sharded engine workers with bounded queues and panic isolation.
 //!
 //! Tenants hash to shards (`tenant % shards`), each shard is one
-//! worker thread draining a bounded queue, and every job runs under
-//! [`itesp_orchestrate::run_policied`] — the same watchdog/retry/
-//! backoff machinery the batch campaigns use. A panicking simulation
-//! (injected by the chaos harness, or a real bug) is caught inside the
-//! policy, surfaces as a typed outcome to exactly one client, and the
+//! worker thread draining a bounded queue, and every job runs once
+//! under [`itesp_orchestrate::run_policied`] — the same panic isolation
+//! and watchdog deadline the batch campaigns use. A panicking
+//! simulation (injected by the chaos harness, or a real bug) is caught
+//! there, surfaces as a typed outcome to exactly one client, and the
 //! shard keeps serving.
 //!
 //! Admission control and backpressure are both the `pending` counter:
@@ -25,8 +25,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
+use std::time::Duration;
 
-use itesp_orchestrate::{run_policied, JobOutcome, JobPolicy};
+use itesp_orchestrate::{run_policied, JobOutcome};
 use itesp_snap::SnapshotStore;
 
 use crate::registry::Registry;
@@ -56,31 +57,29 @@ pub struct ShardPool {
 
 impl ShardPool {
     /// Spawn `shards` workers, each admitting at most `queue_depth`
-    /// outstanding requests. Completions land in `registry`; every
-    /// `snap_every` completions the registry is snapshotted to
-    /// `store` (when present).
+    /// outstanding requests and running each under a `job_timeout`
+    /// deadline; both counts must be nonzero. Completions land in
+    /// `registry`; every `snap_every` completions the registry is
+    /// snapshotted to `store` (when present).
     pub fn spawn(
         shards: usize,
         queue_depth: usize,
-        policy: JobPolicy,
+        job_timeout: Duration,
         registry: Arc<Registry>,
         store: Option<Arc<Mutex<SnapshotStore>>>,
         snap_every: u64,
     ) -> Self {
-        let shards = shards.max(1);
-        let capacity = queue_depth.max(1);
         let built = (0..shards)
             .map(|i| {
-                let (tx, rx) = mpsc::sync_channel::<Job>(capacity);
+                let (tx, rx) = mpsc::sync_channel::<Job>(queue_depth);
                 let pending = Arc::new(AtomicUsize::new(0));
                 let worker_pending = Arc::clone(&pending);
                 let registry = Arc::clone(&registry);
                 let store = store.clone();
-                let policy = policy.clone();
                 thread::Builder::new()
                     .name(format!("itesp-shard-{i}"))
                     .spawn(move || {
-                        worker_loop(rx, policy, registry, store, snap_every, worker_pending)
+                        worker_loop(rx, job_timeout, registry, store, snap_every, worker_pending)
                     })
                     .expect("spawn shard worker");
                 Shard { tx, pending }
@@ -88,7 +87,7 @@ impl ShardPool {
             .collect();
         ShardPool {
             shards: built,
-            capacity,
+            capacity: queue_depth,
         }
     }
 
@@ -183,7 +182,6 @@ impl AdmitToken<'_> {
                     self.shard.pending.fetch_sub(1, Ordering::AcqRel);
                     let _ = j.reply.send(JobOutcome::Panicked {
                         message: "shard worker unavailable".into(),
-                        attempts: 0,
                     });
                     return outcome_rx;
                 }
@@ -202,7 +200,7 @@ impl Drop for AdmitToken<'_> {
 
 fn worker_loop(
     rx: mpsc::Receiver<Job>,
-    policy: JobPolicy,
+    job_timeout: Duration,
     registry: Arc<Registry>,
     store: Option<Arc<Mutex<SnapshotStore>>>,
     snap_every: u64,
@@ -210,7 +208,7 @@ fn worker_loop(
 ) {
     while let Ok(job) = rx.recv() {
         let req = job.req;
-        let outcome: Outcome = run_policied(&policy, move || run_tenant(&req));
+        let outcome: Outcome = run_policied(Some(job_timeout), move || run_tenant(&req));
         match &outcome {
             JobOutcome::Ok(Ok(stats)) => {
                 registry.complete(stats.clone());
@@ -226,7 +224,6 @@ fn worker_loop(
             JobOutcome::Ok(Err(_)) => {}
             JobOutcome::Panicked { .. } => registry.count_worker_panic(),
             JobOutcome::TimedOut { .. } => registry.count_timeout(),
-            JobOutcome::Skipped => {}
         }
         // Release the reservation only after the registry is updated
         // (the drain path treats pending == 0 as "stats are final"),
@@ -242,6 +239,8 @@ mod tests {
     use super::*;
     use crate::protocol::{Hello, PROTOCOL_VERSION};
     use itesp_trace::{benchmark, TraceRecord, WorkloadGen};
+
+    const TIMEOUT: Duration = Duration::from_secs(120);
 
     fn request(tenant: u64, ops: usize) -> TenantRequest {
         let b = benchmark("mcf").unwrap();
@@ -264,7 +263,7 @@ mod tests {
     #[test]
     fn admission_bounds_and_busy_rejection() {
         let registry = Arc::new(Registry::new());
-        let pool = ShardPool::spawn(1, 2, JobPolicy::serial(), registry, None, 0);
+        let pool = ShardPool::spawn(1, 2, TIMEOUT, registry, None, 0);
         let t1 = pool.try_admit(1).unwrap();
         let _t2 = pool.try_admit(1).unwrap();
         assert!(matches!(pool.try_admit(1), Err(ServeError::Busy)));
@@ -276,7 +275,7 @@ mod tests {
     #[test]
     fn gauges_track_reservations_per_shard() {
         let registry = Arc::new(Registry::new());
-        let pool = ShardPool::spawn(2, 3, JobPolicy::serial(), registry, None, 0);
+        let pool = ShardPool::spawn(2, 3, TIMEOUT, registry, None, 0);
         assert_eq!(
             pool.gauges(),
             vec![
@@ -305,10 +304,12 @@ mod tests {
     #[test]
     fn jobs_complete_into_the_registry() {
         let registry = Arc::new(Registry::new());
-        let pool = ShardPool::spawn(2, 4, JobPolicy::serial(), Arc::clone(&registry), None, 0);
+        let pool = ShardPool::spawn(2, 4, TIMEOUT, Arc::clone(&registry), None, 0);
         let rx = pool.try_admit(5).unwrap().submit(request(5, 200));
         let outcome = rx.recv().unwrap();
-        let stats = outcome.ok().unwrap().unwrap();
+        let JobOutcome::Ok(Ok(stats)) = outcome else {
+            panic!("job failed: {outcome:?}");
+        };
         assert_eq!(stats.tenant, 5);
         assert_eq!(registry.completed(), 1);
         // Reservation released only after registration.
@@ -318,7 +319,7 @@ mod tests {
     #[test]
     fn tenants_land_on_stable_shards() {
         let registry = Arc::new(Registry::new());
-        let pool = ShardPool::spawn(3, 1, JobPolicy::serial(), registry, None, 0);
+        let pool = ShardPool::spawn(3, 1, TIMEOUT, registry, None, 0);
         assert_eq!(pool.shard_of(0), 0);
         assert_eq!(pool.shard_of(7), 1);
         assert_eq!(pool.shard_of(8), 2);

@@ -1,8 +1,8 @@
 //! Per-tenant simulation: streamed records in, deterministic stats out.
 //!
 //! A tenant request is self-contained — identity, scheme, seed, and
-//! the full virtual trace — so recomputing it after a retry, a worker
-//! panic, or a daemon restart produces *byte-identical* stats. That
+//! the full virtual trace — so recomputing it after a client retry or
+//! a daemon restart produces *byte-identical* stats. That
 //! property is what the chaos drill's byte-identity assertion rests
 //! on, and why the registry can treat re-completion as an idempotent
 //! overwrite.
@@ -27,7 +27,7 @@ pub struct TenantRequest {
 }
 
 /// The deterministic per-tenant result. Every field is a pure function
-/// of the request bytes; operational counters (rejects, retries) live
+/// of the request bytes; operational counters (rejects, panics) live
 /// in the registry's separate, explicitly non-deterministic section.
 /// Its field list is also the registry snapshot's per-tenant record.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Persist)]

@@ -17,8 +17,8 @@ fn worker_panic_is_isolated_per_tenant() {
     std::env::set_var(CHAOS_ENV, "panic-tenant=13");
     let daemon = TestDaemon::start(scratch_dir("panic"), 2, 4);
 
-    // The cursed tenant gets a typed error after the retry budget —
-    // not a hung socket, not a daemon death.
+    // The cursed tenant gets a typed error — not a hung socket, not a
+    // daemon death.
     let err = run_once(daemon.traffic, &hello(13, "ITESP"), &records(13, 64)).unwrap_err();
     assert!(
         matches!(err, ServeError::WorkerPanicked { .. }),

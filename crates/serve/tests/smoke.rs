@@ -11,7 +11,7 @@ use std::time::Duration;
 use itesp_serve::chaos::ChaosMode;
 use itesp_serve::client::{misbehave, run_once, run_with_retry};
 use itesp_serve::protocol::{encode_end, encode_records_frame, read_frame, write_frame, FrameKind};
-use itesp_serve::ServeError;
+use itesp_serve::{ServeError, Server, ServerConfig};
 
 use common::{hello, multi_frame_ops, records, scratch_dir, TestDaemon};
 
@@ -163,4 +163,18 @@ fn drain_then_restart_recovers_byte_identical_stats() {
     run_once(reborn.traffic, &hello(5, "ITESP"), &records(5, 200)).expect("post-recovery tenant");
     assert!(reborn.tenants_json().contains("\"tenant\": 5"));
     reborn.drain();
+}
+
+#[test]
+fn a_zero_shard_count_queue_or_deadline_is_refused_at_start() {
+    let zeroes: [fn(&mut ServerConfig); 3] = [
+        |c| c.shards = 0,
+        |c| c.queue_depth = 0,
+        |c| c.job_timeout = Duration::ZERO,
+    ];
+    for zero in zeroes {
+        let mut cfg = ServerConfig::new(scratch_dir("zero-config"));
+        zero(&mut cfg);
+        assert!(matches!(Server::start(cfg), Err(ServeError::Engine(_))));
+    }
 }
