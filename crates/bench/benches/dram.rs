@@ -151,5 +151,71 @@ fn bench_saturated_tick(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_decode, bench_service, bench_saturated_tick);
+/// The byte address of `(rank, bank, row, column)` on a one-channel
+/// geometry under 4-RBH mapping, whose block address reads
+/// `| row | bank | col_hi | rank | col_lo(2) |`.
+fn rbh4_addr(g: &DramGeometry, rank: u64, bank: u64, row: u64, column: u64) -> u64 {
+    let (rank_bits, col_bits, bank_bits) = (g.rank_bits(), g.column_bits(), g.bank_bits());
+    let block = (column & 3)
+        | rank << 2
+        | (column >> 2) << (2 + rank_bits)
+        | bank << (rank_bits + col_bits)
+        | row << (rank_bits + col_bits + bank_bits);
+    block * 64
+}
+
+/// A request mix that keeps many banks busy at once: uniform over three
+/// banks in each of the 16 ranks (48 banks, of which the saturated
+/// queues keep ~27 active per sweep), two rows per bank (row hits and
+/// conflicts), any column.
+fn wide_workload(n: usize) -> Vec<(u64, bool)> {
+    let cfg = DramConfig::table_iii();
+    let g = cfg.geometry;
+    let dec = AddressDecoder::new(g, cfg.mapping);
+    let mut rng = StdRng::seed_from_u64(0x51DE);
+    (0..n)
+        .map(|_| {
+            let rank = rng.gen_range(0..u64::from(g.ranks_per_channel));
+            let bank = rng.gen_range(0u64..3);
+            let row = rng.gen_range(0u64..2);
+            let column = rng.gen_range(0..u64::from(g.blocks_per_row));
+            let addr = rbh4_addr(&g, rank, bank, row, column);
+            let at = dec.decode(addr);
+            assert_eq!(
+                (at.rank, at.bank, at.row),
+                (rank as u32, bank as u32, row as u32)
+            );
+            (addr, rng.gen_bool(0.3))
+        })
+        .collect()
+}
+
+/// Wide-occupancy scheduler throughput: saturated queues spread over
+/// ~27 active banks, where a sweep that visits every active bank pays
+/// the most, optimized channel vs the reference scheduler.
+fn bench_wide_tick(c: &mut Criterion) {
+    let workload = wide_workload(2048);
+    let mut group = c.benchmark_group("channel_wide_tick");
+    group.bench_function("optimized", |b| {
+        b.iter(|| {
+            let mut ch = Channel::new(DramConfig::table_iii());
+            std::hint::black_box(drive_saturated(&mut ch, &workload))
+        });
+    });
+    group.bench_function("reference", |b| {
+        b.iter(|| {
+            let mut ch = ReferenceChannel::new(DramConfig::table_iii());
+            std::hint::black_box(drive_saturated(&mut ch, &workload))
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_decode,
+    bench_service,
+    bench_saturated_tick,
+    bench_wide_tick
+);
 criterion_main!(benches);

@@ -10,7 +10,7 @@
 //! This is the optimized hot path; [`crate::reference::ReferenceChannel`]
 //! is the straight-line executable specification it must match
 //! command-for-command (checked by the `scheduler_equivalence` property
-//! test). Three mechanisms make it fast without changing behavior:
+//! test). Four mechanisms make it fast without changing behavior:
 //!
 //! * **Per-bank indexed queues** ([`RequestQueue`]): requests live in a
 //!   reusable slab, stamped with a monotonically increasing sequence
@@ -19,17 +19,23 @@
 //! * **Per-bank candidates** ([`Candidates`]): each queue keeps, per
 //!   bank, its oldest request (owner of the PRE/ACT decision) and its
 //!   oldest request to the open row (the CAS candidate), updated only
-//!   on push/remove, ACT/PRE, refresh and restore. One sweep over the
-//!   banks with pending requests reads those two entries per bank,
-//!   computes the CAS gate from the bank, its rank and one of two bus
-//!   turnaround values, and resolves ties across banks by sequence
-//!   number — reproducing the reference scheduler's full age-order
-//!   scan (including its quadratic "does an older request still want
-//!   this open row" rescan) at O(pending banks) per cycle.
+//!   on push/remove, ACT/PRE, refresh and restore. Ties across banks
+//!   resolve by sequence number, reproducing the reference scheduler's
+//!   full age-order scan (including its quadratic "does an older
+//!   request still want this open row" rescan).
+//! * **Bank sets** ([`BankSet`]): on the same events each queue files
+//!   every bank with pending requests in a hit set (it has a row-hit
+//!   candidate) and a row set (its oldest request needs a PRE or ACT).
+//!   A sweep visits only the banks that could issue: the CAS pass walks
+//!   the hit set, or only the last burst's rank while the bus
+//!   turnaround rules the others out, or nothing while the data bus
+//!   rules out every CAS; the PRE/ACT pass walks the row set, and only
+//!   when no CAS can issue.
 //! * **Next-event skipping**: whenever a tick issues nothing, the
 //!   channel computes a lower bound on the next cycle at which *any*
-//!   command could issue (earliest CAS/PRE/ACT per pending request, the
-//!   next refresh deadline, and the next write-drain flag flip) and
+//!   command could issue (earliest CAS/PRE/ACT per visited bank, the
+//!   data bus's own bound for the banks the sweep skipped, the next
+//!   refresh deadline, and the next write-drain flag flip) and
 //!   early-returns from `tick` until then. Channel state is frozen
 //!   between events, so the skipped ticks are provably no-ops and the
 //!   command stream is identical to ticking every cycle.
@@ -72,24 +78,118 @@ struct Candidates {
     hit: Option<(u64, u32)>,
 }
 
+/// A set of bank indexes, one bit per bank of the channel, so it grows
+/// with the geometry.
+#[derive(Debug)]
+struct BankSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl BankSet {
+    fn new(nbanks: usize) -> Self {
+        BankSet {
+            words: vec![0; nbanks.div_ceil(64)],
+            len: 0,
+        }
+    }
+
+    fn contains(&self, b: usize) -> bool {
+        self.words[b / 64] >> (b % 64) & 1 != 0
+    }
+
+    /// Add `b` if `member`, remove it otherwise.
+    fn set(&mut self, b: usize, member: bool) {
+        if self.contains(b) != member {
+            self.words[b / 64] ^= 1 << (b % 64);
+            if member {
+                self.len += 1;
+            } else {
+                self.len -= 1;
+            }
+        }
+    }
+
+    /// The members in `lo..hi`, ascending.
+    fn range(&self, lo: usize, hi: usize) -> Members<'_> {
+        let mut m = Members {
+            words: &self.words,
+            w: lo / 64,
+            cur: 0,
+            hi,
+        };
+        if lo < hi {
+            m.cur = m.below_hi() & (!0 << (lo % 64));
+        }
+        m
+    }
+
+    /// Every member, ascending.
+    fn iter(&self) -> Members<'_> {
+        self.range(0, self.words.len() * 64)
+    }
+}
+
+/// Iterator over the members of a [`BankSet`] below `hi`: `cur` holds
+/// the not-yet-returned bits of word `w`.
+struct Members<'a> {
+    words: &'a [u64],
+    w: usize,
+    cur: u64,
+    hi: usize,
+}
+
+impl Members<'_> {
+    /// Word `w` with the bits at `hi` and above cleared.
+    fn below_hi(&self) -> u64 {
+        let base = self.w * 64;
+        let bits = self.words[self.w];
+        if self.hi < base + 64 {
+            bits & ((1 << (self.hi - base)) - 1)
+        } else {
+            bits
+        }
+    }
+}
+
+impl Iterator for Members<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        while self.cur == 0 {
+            if (self.w + 1) * 64 >= self.hi {
+                return None;
+            }
+            self.w += 1;
+            self.cur = self.below_hi();
+        }
+        let b = self.w * 64 + self.cur.trailing_zeros() as usize;
+        self.cur &= self.cur - 1;
+        Some(b)
+    }
+}
+
 /// Age-ordered request storage with per-bank index lists.
 ///
 /// Requests sit in a slab (`slots` + `free`), stamped with a strictly
 /// increasing sequence number (global age); `by_bank` keeps an
 /// oldest-first [`BankEntry`] list per bank, and `cand` the bank's
 /// [`Candidates`]. Every method that can move a candidate takes the
-/// bank's open row, which lives on the channel. `active` lists the
-/// banks with pending requests so sparse queues don't pay for the full
-/// bank count.
+/// bank's open row, which lives on the channel, and re-files the bank
+/// in two [`BankSet`]s that together hold every bank with pending
+/// requests: `hit_banks` (the bank has a row-hit candidate, so it may
+/// issue a CAS) and `row_banks` (its oldest request misses the open
+/// row or the bank is closed, so it may issue a PRE or ACT). A bank can
+/// be in both: a younger request hits the row an older one conflicts
+/// with.
 #[derive(Debug)]
 struct RequestQueue {
     slots: Vec<Slot>,
     free: Vec<u32>,
     by_bank: Vec<Vec<BankEntry>>,
     cand: Vec<Candidates>,
-    active: Vec<u32>,
-    /// Position of each bank in `active`, `u32::MAX` when absent.
-    active_pos: Vec<u32>,
+    hit_banks: BankSet,
+    row_banks: BankSet,
     len: usize,
     cap: usize,
     next_seq: u64,
@@ -102,8 +202,8 @@ impl RequestQueue {
             free: Vec::new(),
             by_bank: vec![Vec::new(); nbanks],
             cand: vec![Candidates::default(); nbanks],
-            active: Vec::new(),
-            active_pos: vec![u32::MAX; nbanks],
+            hit_banks: BankSet::new(nbanks),
+            row_banks: BankSet::new(nbanks),
             len: 0,
             cap,
             next_seq: 0,
@@ -150,8 +250,6 @@ impl RequestQueue {
         };
         let c = &mut self.cand[b];
         if self.by_bank[b].is_empty() {
-            self.active_pos[b] = self.active.len() as u32;
-            self.active.push(b as u32);
             *c = Candidates { head: e, hit: None };
         }
         // The newest entry is the bank's row hit only if none is older.
@@ -159,6 +257,7 @@ impl RequestQueue {
             c.hit = Some((seq, slot));
         }
         self.by_bank[b].push(e);
+        self.file(b, open);
         self.len += 1;
         true
     }
@@ -177,21 +276,15 @@ impl RequestQueue {
             .position(|e| e.slot == slot)
             .expect("slot present in its bank list");
         list.remove(pos);
-        if list.is_empty() {
-            let ap = self.active_pos[b] as usize;
-            self.active.swap_remove(ap);
-            if ap < self.active.len() {
-                self.active_pos[self.active[ap] as usize] = ap as u32;
-            }
-            self.active_pos[b] = u32::MAX;
-        } else {
+        if let Some(&head) = list.first() {
             let c = &mut self.cand[b];
-            c.head = list[0];
+            c.head = head;
             if c.hit.is_some_and(|(_, s)| s == slot) {
                 // Entries ahead of the old hit miss the open row.
                 c.hit = first_hit(&list[pos..], open);
             }
         }
+        self.file(b, open);
         self.free.push(slot);
         self.len -= 1;
     }
@@ -200,6 +293,30 @@ impl RequestQueue {
     /// re-find its oldest row hit.
     fn set_open(&mut self, bank: usize, open: Option<u32>) {
         self.cand[bank].hit = first_hit(&self.by_bank[bank], open);
+        self.file(bank, open);
+    }
+
+    /// Re-file bank `b`, whose open row is `open`, in the hit and row
+    /// sets from its current candidates.
+    fn file(&mut self, b: usize, open: Option<u32>) {
+        let active = !self.by_bank[b].is_empty();
+        let c = self.cand[b];
+        self.hit_banks.set(b, active && c.hit.is_some());
+        self.row_banks.set(b, active && open != Some(c.head.row));
+    }
+
+    /// Debug check: both bank sets match a re-derivation from the bank
+    /// lists and the banks' open rows.
+    fn sets_match(&self, banks: &[BankState]) -> bool {
+        banks
+            .iter()
+            .zip(&self.by_bank)
+            .enumerate()
+            .all(|(b, (bank, list))| {
+                let hit = first_hit(list, bank.open_row).is_some();
+                let row = list.first().is_some_and(|e| bank.open_row != Some(e.row));
+                self.hit_banks.contains(b) == hit && self.row_banks.contains(b) == row
+            })
     }
 
     fn req(&self, slot: u32) -> &Request {
@@ -208,10 +325,6 @@ impl RequestQueue {
 
     fn req_mut(&mut self, slot: u32) -> &mut Request {
         &mut self.slots[slot as usize].req
-    }
-
-    fn active_banks(&self) -> &[u32] {
-        &self.active
     }
 
     /// Live requests in global age order, for snapshot serialization.
@@ -355,12 +468,14 @@ impl Channel {
         self.read_q.is_empty() && self.write_q.is_empty()
     }
 
-    /// The next DRAM cycle at which [`Self::tick`] does any work: the
-    /// precomputed wake time covering command issue, watermark flips,
-    /// and refresh deadlines. Ticks strictly before it are no-ops by
-    /// construction (the early return above), so a caller that knows no
-    /// new requests will arrive may skip straight to it. Any `enqueue`
-    /// resets it to 0.
+    /// A lower bound on the next DRAM cycle at which [`Self::tick`]
+    /// changes any state: the precomputed wake time covering command
+    /// issue, watermark flips, and refresh deadlines. Ticks strictly
+    /// before it are no-ops by construction (the early return in
+    /// `tick`), so a caller that knows no new requests will arrive may
+    /// skip straight to it. It is not necessarily the exact next event:
+    /// the tick at the wake time may issue nothing and set a later
+    /// wake. Any `enqueue` resets it to 0.
     pub fn next_event(&self) -> u64 {
         self.next_wake
     }
@@ -480,15 +595,14 @@ impl Channel {
     /// otherwise make progress (ACT/PRE) for the oldest serviceable
     /// request.
     ///
-    /// Returns `None` if a command issued, or `Some(wake)` — the earliest
-    /// cycle at which any of the queue's pending requests could make
-    /// progress (`u64::MAX` if none are schedulable) — computed for free
-    /// during the same sweep. The bound is exact for the frozen state
-    /// between events, so skipping to it never changes behavior.
+    /// Returns `None` if a command issued, or `Some(wake)`: a lower
+    /// bound on the earliest cycle at which any of the queue's pending
+    /// requests could make progress (`u64::MAX` if none are
+    /// schedulable). Nothing issues before it while the state is frozen,
+    /// so skipping to it never changes behavior; waking earlier only
+    /// costs a sweep that issues nothing.
     ///
-    /// The sweep visits each bank with pending requests exactly once and
-    /// reads only its [`Candidates`], because every scheduling decision
-    /// is bank-local given two facts:
+    /// Every scheduling decision is bank-local given two facts:
     ///
     /// * a CAS candidate is the bank's *oldest row-matching* request
     ///   (CAS legality is uniform across a bank), and
@@ -497,12 +611,18 @@ impl Channel {
     ///   wants, and `act_at` is identical for every request of a closed
     ///   bank.
     ///
-    /// Ties across banks resolve by global age (sequence number), which
-    /// reproduces the reference scheduler's age-order scan without
-    /// walking the whole queue. A bank's CAS gate is its own command
-    /// spacing, its rank's (spacing and refresh block), and the bus
-    /// turnaround, which takes one of two values per sweep: one for the
-    /// last burst's rank, one for every other rank.
+    /// So the sweep reads only [`Candidates`], and only of the banks
+    /// that could issue. The CAS pass walks the hit set, gated by the
+    /// data bus: a bank's CAS gate is its own command spacing, its
+    /// rank's (spacing and refresh block), and the bus turnaround, which
+    /// is `bus_same` for the last burst's rank and `bus_other >=
+    /// bus_same` for every other rank. Before `bus_same` no CAS can
+    /// issue, so the pass is skipped and `bus_same` bounds the CAS wake;
+    /// before `bus_other` only the last burst's rank is walked and
+    /// `bus_other` bounds the rest. The PRE/ACT pass walks the row set,
+    /// and only when no CAS can issue. Ties across banks resolve by
+    /// global age (sequence number), which reproduces the reference
+    /// scheduler's age-order scan without walking the whole queue.
     fn schedule(&mut self, now: u64, writes: bool) -> Option<u64> {
         let mut wake = u64::MAX;
         let t = self.cfg.timing;
@@ -518,76 +638,67 @@ impl Channel {
             Some(_) => bus_same.max((bus.free_at + t.t_rtrs).saturating_sub(lat)),
             None => bus_same,
         };
+        debug_assert!(q.sets_match(banks), "stale bank set");
 
-        // Best issuable CAS / row command, by global age.
+        // CAS pass: the oldest row hit whose CAS is legal now.
         let mut cas_best: Option<(u64, u32)> = None; // (seq, slot)
-        let mut open_best: Option<(u64, u32, u32)> = None; // (seq, bank, head slot)
-
-        for &b in q.active_banks() {
-            let bi = b as usize;
-            let c = q.cand[bi];
-            let head = c.head;
-            debug_assert_eq!(
-                c.hit,
-                first_hit(&q.by_bank[bi], banks[bi].open_row),
-                "stale row-hit candidate"
-            );
-            let bank = &banks[bi];
-            let r = bi >> shift;
-            let rank = &ranks[r];
-            match bank.open_row {
-                Some(open) => {
-                    if let Some((seq, slot)) = c.hit {
-                        let (bank_cmd, rank_cmd) = if writes {
-                            (bank.next_write, rank.next_write)
-                        } else {
-                            (bank.next_read, rank.next_read)
-                        };
-                        let bus_ready = if bus.last_rank.is_none_or(|l| l as usize == r) {
-                            bus_same
-                        } else {
-                            bus_other
-                        };
-                        let cas_at = bank_cmd.max(rank_cmd).max(rank.ready_at).max(bus_ready);
-                        debug_assert_eq!(
-                            cas_at,
-                            earliest_cas(&t, bank, rank, &bus, q.req(slot)),
-                            "split rank gate must reproduce earliest_cas"
-                        );
-                        if cas_at <= now {
-                            if cas_best.is_none_or(|(bs, _)| seq < bs) {
-                                cas_best = Some((seq, slot));
-                            }
-                        } else {
-                            wake = wake.min(cas_at);
-                        }
+        if q.hit_banks.len > 0 {
+            if now < bus_same {
+                wake = bus_same;
+            } else {
+                // Past `bus_other` every rank may issue; before it, only
+                // the last burst's (`bus_other > bus_same` implies one).
+                let (lo, hi) = match bus.last_rank {
+                    Some(l) if now < bus_other => {
+                        let l = l as usize;
+                        (l << shift, (l + 1) << shift)
                     }
-                    // PRE decision: only the bank's oldest request may
-                    // close the row, and only if it conflicts (an older
-                    // row hit must drain first).
-                    if head.row != open {
-                        if now >= bank.next_precharge {
-                            if open_best.is_none_or(|(bs, _, _)| head.seq < bs) {
-                                open_best = Some((head.seq, b, head.slot));
-                            }
-                        } else {
-                            wake = wake.min(bank.next_precharge);
-                        }
-                    }
-                }
-                None => {
-                    let act_at = bank.next_activate.max(rank.activate_allowed_at(&t));
-                    if act_at <= now {
-                        if open_best.is_none_or(|(bs, _, _)| head.seq < bs) {
-                            open_best = Some((head.seq, b, head.slot));
+                    _ => (0, banks.len()),
+                };
+                let mut visited = 0;
+                for bi in q.hit_banks.range(lo, hi) {
+                    visited += 1;
+                    let c = q.cand[bi];
+                    debug_assert_eq!(
+                        c.hit,
+                        first_hit(&q.by_bank[bi], banks[bi].open_row),
+                        "stale row-hit candidate"
+                    );
+                    let Some((seq, slot)) = c.hit else {
+                        continue;
+                    };
+                    let bank = &banks[bi];
+                    let r = bi >> shift;
+                    let rank = &ranks[r];
+                    let (bank_cmd, rank_cmd) = if writes {
+                        (bank.next_write, rank.next_write)
+                    } else {
+                        (bank.next_read, rank.next_read)
+                    };
+                    let bus_ready = if bus.last_rank.is_none_or(|l| l as usize == r) {
+                        bus_same
+                    } else {
+                        bus_other
+                    };
+                    let cas_at = bank_cmd.max(rank_cmd).max(rank.ready_at).max(bus_ready);
+                    debug_assert_eq!(
+                        cas_at,
+                        earliest_cas(&t, bank, rank, &bus, q.req(slot)),
+                        "split rank gate must reproduce earliest_cas"
+                    );
+                    if cas_at <= now {
+                        if cas_best.is_none_or(|(bs, _)| seq < bs) {
+                            cas_best = Some((seq, slot));
                         }
                     } else {
-                        wake = wake.min(act_at);
+                        wake = wake.min(cas_at);
                     }
+                }
+                if visited < q.hit_banks.len {
+                    wake = wake.min(bus_other);
                 }
             }
         }
-
         if let Some((_, slot)) = cas_best {
             let req = *self.queue(writes).req(slot);
             self.issue_cas(&req, now, !req.caused_row_miss);
@@ -595,21 +706,48 @@ impl Channel {
             self.queue_mut(writes).remove(slot, open);
             return None;
         }
-        if let Some((_, b, head)) = open_best {
-            let bi = b as usize;
+
+        // PRE/ACT pass: the oldest head whose row command is legal now.
+        // A row-set bank's head conflicts with its open row (any older
+        // row hit has drained), or the bank is closed.
+        let mut open_best: Option<(u64, usize, u32)> = None; // (seq, bank, head slot)
+        for bi in q.row_banks.iter() {
+            let head = q.cand[bi].head;
+            let bank = &banks[bi];
+            let row_at = if bank.open_row.is_some() {
+                bank.next_precharge
+            } else {
+                let rank = &ranks[bi >> shift];
+                bank.next_activate.max(rank.activate_allowed_at(&t))
+            };
+            if row_at <= now {
+                if open_best.is_none_or(|(bs, _, _)| head.seq < bs) {
+                    open_best = Some((head.seq, bi, head.slot));
+                }
+            } else {
+                wake = wake.min(row_at);
+            }
+        }
+        if let Some((_, bi, head)) = open_best {
             let req = *self.queue(writes).req(head);
             match self.banks[bi].open_row {
                 Some(open) => {
                     self.banks[bi].precharge(now, &t);
                     self.stats.precharges += 1;
-                    self.log_cmd(now, Command::Precharge, req.coords.rank, b, open);
+                    self.log_cmd(now, Command::Precharge, req.coords.rank, bi as u32, open);
                 }
                 None => {
                     let rank = req.coords.rank as usize;
                     self.banks[bi].activate(req.coords.row, now, &t);
                     self.ranks[rank].activate(now, &t);
                     self.stats.activates += 1;
-                    self.log_cmd(now, Command::Activate, req.coords.rank, b, req.coords.row);
+                    self.log_cmd(
+                        now,
+                        Command::Activate,
+                        req.coords.rank,
+                        bi as u32,
+                        req.coords.row,
+                    );
                 }
             }
             self.queue_mut(writes).req_mut(head).caused_row_miss = true;
@@ -728,10 +866,11 @@ impl Persist for Channel {
 }
 
 /// Hand-written: only the live requests are stored, in age order; the
-/// slab, per-bank index, candidates and active list are rebuilt by
+/// slab, per-bank index, candidates and bank sets are rebuilt by
 /// re-enqueueing them into a queue of the constructed capacity. The
 /// queue does not know the banks' open rows, so the row-hit candidates
-/// come back empty and [`Channel`]'s `load` re-finds them.
+/// come back empty (every active bank in the row set) and
+/// [`Channel`]'s `load` re-finds them.
 impl Persist for RequestQueue {
     fn save(&self, w: &mut SnapWriter) {
         w.put(&self.live_by_seq());
@@ -965,7 +1104,7 @@ mod tests {
     #[test]
     fn slab_slots_recycle_across_waves() {
         // Several full capacity waves through the same queue: slot reuse,
-        // the per-bank candidates, and the active-bank list must all stay
+        // the per-bank candidates, and the bank sets must all stay
         // consistent, and every request must complete exactly once.
         let (mut ch, dec) = setup();
         let cap = DramConfig::table_iii().queues.read_queue as u64;
@@ -982,6 +1121,26 @@ mod tests {
         }
         assert_eq!(total, 4 * cap);
         assert_eq!(ch.stats().reads, 4 * cap);
+    }
+
+    #[test]
+    fn bank_set_ranges_cross_words() {
+        let mut s = BankSet::new(256);
+        for b in [0, 7, 63, 64, 100, 127, 128, 200, 255] {
+            s.set(b, true);
+        }
+        s.set(100, false);
+        s.set(100, false);
+        s.set(7, true);
+        assert_eq!(s.len, 8);
+        let all: Vec<usize> = s.iter().collect();
+        assert_eq!(all, [0, 7, 63, 64, 127, 128, 200, 255]);
+        let rank = |lo, hi| s.range(lo, hi).collect::<Vec<_>>();
+        assert_eq!(rank(0, 8), [0, 7]);
+        assert_eq!(rank(8, 16), []);
+        assert_eq!(rank(56, 64), [63]);
+        assert_eq!(rank(64, 192), [64, 127, 128]);
+        assert_eq!(rank(192, 256), [200, 255]);
     }
 
     #[test]

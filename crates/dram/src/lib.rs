@@ -156,11 +156,12 @@ impl MemorySystem {
         self.in_flight == 0
     }
 
-    /// Earliest [`Channel::next_event`] across channels: the next DRAM
-    /// cycle at which ticking the system can change any state —
-    /// completions, queue space, refreshes, watermark flips. Ticks
-    /// strictly before it are no-ops as long as nothing is enqueued in
-    /// between (an enqueue resets the owning channel's wake to 0).
+    /// Earliest [`Channel::next_event`] across channels: a lower bound
+    /// on the next DRAM cycle at which ticking the system can change
+    /// any state — completions, queue space, refreshes, watermark
+    /// flips. Ticks strictly before it are no-ops as long as nothing is
+    /// enqueued in between (an enqueue resets the owning channel's wake
+    /// to 0); the tick at it may still be one.
     pub fn next_event(&self) -> u64 {
         self.channels
             .iter()

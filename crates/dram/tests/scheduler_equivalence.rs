@@ -5,10 +5,11 @@
 //! ticking every cycle (so the optimized channel's event skipping must
 //! be a provable no-op), and must produce identical command logs
 //! (command, cycle, rank, bank, row), identical completion streams, and
-//! identical statistics. Every property runs on the Table III geometry
-//! and on a 4-rank x 4-bank one, so the bank-to-rank index is not tied
-//! to one shape; one property also snapshots the optimized channel
-//! mid-stream and continues from a fresh channel loaded from the bytes.
+//! identical statistics. Every property runs on the Table III geometry,
+//! a 4-rank x 4-bank one and a 32-rank x 8-bank one, so neither the
+//! bank-to-rank index nor the bank sets' word count is tied to one
+//! shape; one property also snapshots the optimized channel mid-stream
+//! and continues from a fresh channel loaded from the bytes.
 
 use itesp_dram::{AddressDecoder, Channel, DramConfig, DramGeometry, ReferenceChannel, Request};
 use itesp_snap::{Persist, SnapReader, SnapWriter};
@@ -39,19 +40,27 @@ fn addr_for(cfg: &DramConfig, kind: u8, idx: u32) -> u64 {
 }
 
 /// The geometries every property runs on: Table III (16 ranks x 8
-/// banks) and a small 4 x 4 one.
-fn configs() -> [DramConfig; 2] {
-    let small = DramGeometry {
-        ranks_per_channel: 4,
-        banks_per_rank: 4,
-        ..DramGeometry::table_iii()
-    }
-    .validated()
-    .expect("4 x 4 geometry is valid");
+/// banks), a small 4 x 4 one, and a 32 x 8 one whose 256 banks span
+/// four 64-bit words of the scheduler's bank sets (dense low blocks
+/// reach every rank, so banks past index 128 queue requests).
+fn configs() -> [DramConfig; 3] {
+    let geometry = |ranks_per_channel, banks_per_rank| {
+        DramGeometry {
+            ranks_per_channel,
+            banks_per_rank,
+            ..DramGeometry::table_iii()
+        }
+        .validated()
+        .expect("test geometry is valid")
+    };
     [
         DramConfig::table_iii(),
         DramConfig {
-            geometry: small,
+            geometry: geometry(4, 4),
+            ..DramConfig::table_iii()
+        },
+        DramConfig {
+            geometry: geometry(32, 8),
             ..DramConfig::table_iii()
         },
     ]

@@ -2,12 +2,13 @@
 //!
 //! Two halves:
 //!
-//! * **Server-side** — `ITESP_SERVE_CHAOS` directives parsed by the
-//!   daemon. `panic-tenant=<id>` makes [`crate::tenant::run_tenant`]
-//!   panic for that tenant, the deliberate worker panic the drill uses
-//!   to prove shard isolation. A malformed directive is a hard error
-//!   at daemon startup (the repo's `ITESP_*` convention), not a silent
-//!   no-op.
+//! * **Server-side** — `ITESP_SERVE_CHAOS` directives, parsed once by
+//!   the daemon into [`crate::ServerConfig::panic_tenant`].
+//!   `panic-tenant=<id>` makes the shard worker panic instead of
+//!   running that tenant's requests, the deliberate worker panic the
+//!   drill uses to prove shard isolation. A malformed directive is a
+//!   hard error at daemon startup (the repo's `ITESP_*` convention),
+//!   not a silent no-op.
 //! * **Client-side** — [`ChaosMode`] behaviors a hostile client can
 //!   exhibit (disconnect mid-frame, slow-loris, garbage, oversized
 //!   declarations) plus a seeded corpus of malformed wire blobs for
@@ -17,18 +18,6 @@ use crate::protocol::{FrameKind, HEADER, MAGIC, MAX_FRAME};
 
 /// Env var the daemon reads chaos directives from.
 pub const CHAOS_ENV: &str = "ITESP_SERVE_CHAOS";
-
-/// The tenant whose requests must panic in the worker, if any.
-///
-/// # Panics
-/// On a malformed directive — misconfiguration must surface, not
-/// silently disable the drill. The daemon rejects one at startup (see
-/// [`crate::daemon`]), so this only fires when the variable changes
-/// under a running server.
-pub fn panic_tenant() -> Option<u64> {
-    let spec = std::env::var(CHAOS_ENV).ok()?;
-    parse(&spec).unwrap_or_else(|e| panic!("{CHAOS_ENV}: {e}"))
-}
 
 /// The panic tenant named by a directive list, or why it is malformed.
 ///

@@ -84,13 +84,11 @@ pub(crate) fn config_from(
     cfg.read_timeout = parse(&var, "ITESP_SERVE_READ_TIMEOUT_MS", false)?
         .map_or(cfg.read_timeout, Duration::from_millis);
     if let Some(spec) = var(chaos::CHAOS_ENV) {
-        if let Err(reason) = chaos::parse(&spec) {
-            return Err(ConfigError {
-                var: chaos::CHAOS_ENV,
-                value: spec,
-                reason,
-            });
-        }
+        cfg.panic_tenant = chaos::parse(&spec).map_err(|reason| ConfigError {
+            var: chaos::CHAOS_ENV,
+            value: spec,
+            reason,
+        })?;
     }
     Ok(cfg)
 }
@@ -146,6 +144,7 @@ mod tests {
         assert_eq!(cfg.snap_every, want.snap_every);
         assert_eq!(cfg.job_timeout, want.job_timeout);
         assert_eq!(cfg.read_timeout, want.read_timeout);
+        assert_eq!(cfg.panic_tenant, None);
     }
 
     #[test]
@@ -164,6 +163,7 @@ mod tests {
         assert_eq!((cfg.shards, cfg.queue_depth, cfg.snap_every), (3, 5, 0));
         assert_eq!(cfg.job_timeout, Duration::from_millis(250));
         assert_eq!(cfg.read_timeout, Duration::from_secs(1));
+        assert_eq!(cfg.panic_tenant, Some(9));
     }
 
     #[test]

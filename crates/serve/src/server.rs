@@ -87,6 +87,9 @@ pub struct ServerConfig {
     pub read_timeout: Duration,
     /// Per-request record cap.
     pub max_records: u64,
+    /// Chaos drill target: the shard worker panics instead of running
+    /// this tenant's requests (`ITESP_SERVE_CHAOS=panic-tenant=<id>`).
+    pub panic_tenant: Option<u64>,
 }
 
 impl ServerConfig {
@@ -99,6 +102,7 @@ impl ServerConfig {
             snap_every: 8,
             read_timeout: Duration::from_secs(5),
             max_records: 5_000_000,
+            panic_tenant: None,
         }
     }
 }
@@ -147,6 +151,7 @@ impl Server {
             Arc::clone(&registry),
             Some(Arc::clone(&store)),
             cfg.snap_every,
+            cfg.panic_tenant,
         ));
         let traffic = TcpListener::bind("127.0.0.1:0").map_err(ServeError::Io)?;
         let metrics = TcpListener::bind("127.0.0.1:0").map_err(ServeError::Io)?;

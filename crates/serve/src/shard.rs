@@ -60,7 +60,9 @@ impl ShardPool {
     /// outstanding requests and running each under a `job_timeout`
     /// deadline; both counts must be nonzero. Completions land in
     /// `registry`; every `snap_every` completions the registry is
-    /// snapshotted to `store` (when present).
+    /// snapshotted to `store` (when present). Requests from
+    /// `panic_tenant` panic in the worker instead of running (the chaos
+    /// drill's injected fault).
     pub fn spawn(
         shards: usize,
         queue_depth: usize,
@@ -68,6 +70,7 @@ impl ShardPool {
         registry: Arc<Registry>,
         store: Option<Arc<Mutex<SnapshotStore>>>,
         snap_every: u64,
+        panic_tenant: Option<u64>,
     ) -> Self {
         let built = (0..shards)
             .map(|i| {
@@ -79,7 +82,15 @@ impl ShardPool {
                 thread::Builder::new()
                     .name(format!("itesp-shard-{i}"))
                     .spawn(move || {
-                        worker_loop(rx, job_timeout, registry, store, snap_every, worker_pending)
+                        worker_loop(
+                            rx,
+                            job_timeout,
+                            registry,
+                            store,
+                            snap_every,
+                            panic_tenant,
+                            worker_pending,
+                        )
                     })
                     .expect("spawn shard worker");
                 Shard { tx, pending }
@@ -204,11 +215,18 @@ fn worker_loop(
     registry: Arc<Registry>,
     store: Option<Arc<Mutex<SnapshotStore>>>,
     snap_every: u64,
+    panic_tenant: Option<u64>,
     pending: Arc<AtomicUsize>,
 ) {
     while let Ok(job) = rx.recv() {
         let req = job.req;
-        let outcome: Outcome = run_policied(Some(job_timeout), move || run_tenant(&req));
+        let outcome: Outcome = run_policied(Some(job_timeout), move || {
+            let tenant = req.hello.tenant;
+            if panic_tenant == Some(tenant) {
+                panic!("chaos: injected worker panic for tenant {tenant}");
+            }
+            run_tenant(&req)
+        });
         match &outcome {
             JobOutcome::Ok(Ok(stats)) => {
                 registry.complete(stats.clone());
@@ -263,7 +281,7 @@ mod tests {
     #[test]
     fn admission_bounds_and_busy_rejection() {
         let registry = Arc::new(Registry::new());
-        let pool = ShardPool::spawn(1, 2, TIMEOUT, registry, None, 0);
+        let pool = ShardPool::spawn(1, 2, TIMEOUT, registry, None, 0, None);
         let t1 = pool.try_admit(1).unwrap();
         let _t2 = pool.try_admit(1).unwrap();
         assert!(matches!(pool.try_admit(1), Err(ServeError::Busy)));
@@ -275,7 +293,7 @@ mod tests {
     #[test]
     fn gauges_track_reservations_per_shard() {
         let registry = Arc::new(Registry::new());
-        let pool = ShardPool::spawn(2, 3, TIMEOUT, registry, None, 0);
+        let pool = ShardPool::spawn(2, 3, TIMEOUT, registry, None, 0, None);
         assert_eq!(
             pool.gauges(),
             vec![
@@ -304,7 +322,7 @@ mod tests {
     #[test]
     fn jobs_complete_into_the_registry() {
         let registry = Arc::new(Registry::new());
-        let pool = ShardPool::spawn(2, 4, TIMEOUT, Arc::clone(&registry), None, 0);
+        let pool = ShardPool::spawn(2, 4, TIMEOUT, Arc::clone(&registry), None, 0, None);
         let rx = pool.try_admit(5).unwrap().submit(request(5, 200));
         let outcome = rx.recv().unwrap();
         let JobOutcome::Ok(Ok(stats)) = outcome else {
@@ -317,9 +335,25 @@ mod tests {
     }
 
     #[test]
+    fn the_panic_tenant_panics_in_the_worker_alone() {
+        let registry = Arc::new(Registry::new());
+        let pool = ShardPool::spawn(1, 2, TIMEOUT, Arc::clone(&registry), None, 0, Some(5));
+        let outcome = pool.try_admit(5).unwrap().submit(request(5, 50)).recv();
+        assert!(
+            matches!(outcome, Ok(JobOutcome::Panicked { .. })),
+            "{outcome:?}"
+        );
+        // The same worker still serves every other tenant.
+        let outcome = pool.try_admit(6).unwrap().submit(request(6, 50)).recv();
+        assert!(matches!(outcome, Ok(JobOutcome::Ok(Ok(_)))), "{outcome:?}");
+        assert_eq!(registry.completed(), 1);
+        assert_eq!(pool.pending_total(), 0);
+    }
+
+    #[test]
     fn tenants_land_on_stable_shards() {
         let registry = Arc::new(Registry::new());
-        let pool = ShardPool::spawn(3, 1, TIMEOUT, registry, None, 0);
+        let pool = ShardPool::spawn(3, 1, TIMEOUT, registry, None, 0, None);
         assert_eq!(pool.shard_of(0), 0);
         assert_eq!(pool.shard_of(7), 1);
         assert_eq!(pool.shard_of(8), 2);

@@ -15,7 +15,6 @@ use itesp_dram::{AddressMapping, DramConfig};
 use itesp_sim::{RasConfig, RunResult, System, SystemConfig};
 use itesp_trace::{MultiProgram, TraceRecord};
 
-use crate::chaos;
 use crate::error::ServeError;
 use crate::protocol::Hello;
 
@@ -62,18 +61,7 @@ pub struct TenantStats {
 /// # Errors
 /// [`ServeError::UnknownScheme`] / [`ServeError::Engine`] for bad
 /// parameters, [`ServeError::Trace`] for an empty trace.
-///
-/// # Panics
-/// Only when the chaos harness (`ITESP_SERVE_CHAOS=panic-tenant=<id>`)
-/// targets this tenant — the deliberate injected worker panic the
-/// drill uses to prove shard isolation. The shard worker catches it.
 pub fn run_tenant(req: &TenantRequest) -> Result<TenantStats, ServeError> {
-    if chaos::panic_tenant() == Some(req.hello.tenant) {
-        panic!(
-            "chaos: injected worker panic for tenant {}",
-            req.hello.tenant
-        );
-    }
     let scheme = Scheme::from_label(&req.hello.scheme)
         .map_err(|_| ServeError::UnknownScheme(req.hello.scheme.clone()))?;
     let mp = MultiProgram::from_virtual(

@@ -20,6 +20,17 @@ pub fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// A config tuned for fast tests: short read deadline, snapshot on
+/// every completion.
+pub fn test_config(state_dir: PathBuf, shards: usize, queue_depth: usize) -> ServerConfig {
+    let mut cfg = ServerConfig::new(state_dir);
+    cfg.shards = shards;
+    cfg.queue_depth = queue_depth;
+    cfg.snap_every = 1;
+    cfg.read_timeout = Duration::from_millis(500);
+    cfg
+}
+
 /// A daemon running on its own thread, bound to ephemeral ports.
 pub struct TestDaemon {
     pub traffic: SocketAddr,
@@ -29,14 +40,14 @@ pub struct TestDaemon {
 }
 
 impl TestDaemon {
-    /// Boot with a config tuned for fast tests: short read deadline,
-    /// snapshot on every completion.
+    /// Boot with [`test_config`].
     pub fn start(state_dir: PathBuf, shards: usize, queue_depth: usize) -> TestDaemon {
-        let mut cfg = ServerConfig::new(&state_dir);
-        cfg.shards = shards;
-        cfg.queue_depth = queue_depth;
-        cfg.snap_every = 1;
-        cfg.read_timeout = Duration::from_millis(500);
+        TestDaemon::boot(test_config(state_dir, shards, queue_depth))
+    }
+
+    /// Boot with `cfg`.
+    pub fn boot(cfg: ServerConfig) -> TestDaemon {
+        let state_dir = cfg.state_dir.clone();
         let server = Server::start(cfg).expect("daemon start");
         let traffic = server.traffic_addr();
         let metrics = server.metrics_addr();

@@ -1,21 +1,21 @@
-//! Worker panic isolation, in its own test binary: this test sets the
-//! process-global `ITESP_SERVE_CHAOS` directive, so it must not share
-//! a process with other tests that run tenants.
+//! Worker panic isolation: a daemon configured with the chaos drill's
+//! panic target (`ServerConfig::panic_tenant`, which the daemon fills
+//! from `ITESP_SERVE_CHAOS=panic-tenant=<id>`).
 
 mod common;
 
-use itesp_serve::chaos::CHAOS_ENV;
 use itesp_serve::client::run_once;
 use itesp_serve::ServeError;
 
-use common::{hello, records, scratch_dir, TestDaemon};
+use common::{hello, records, scratch_dir, test_config, TestDaemon};
 
 #[test]
 fn worker_panic_is_isolated_per_tenant() {
     // The drill directive: every request from tenant 13 panics inside
     // the shard worker.
-    std::env::set_var(CHAOS_ENV, "panic-tenant=13");
-    let daemon = TestDaemon::start(scratch_dir("panic"), 2, 4);
+    let mut cfg = test_config(scratch_dir("panic"), 2, 4);
+    cfg.panic_tenant = Some(13);
+    let daemon = TestDaemon::boot(cfg);
 
     // The cursed tenant gets a typed error — not a hung socket, not a
     // daemon death.
@@ -37,6 +37,5 @@ fn worker_panic_is_isolated_per_tenant() {
 
     // The panicked request never lands in the deterministic registry.
     assert!(!daemon.tenants_json().contains("\"tenant\": 13"));
-    std::env::remove_var(CHAOS_ENV);
     daemon.drain();
 }
