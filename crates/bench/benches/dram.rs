@@ -3,9 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use itesp_dram::{
-    AddressDecoder, AddressMapping, Channel, Completion, DramConfig, DramGeometry, MemorySystem,
-    ReferenceChannel, Request,
+    AddressDecoder, AddressMapping, Channel, DramConfig, DramGeometry, MemorySystem, Request,
 };
+use itesp_oracle::{ReferenceChannel, Scheduler};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -41,41 +41,6 @@ fn bench_service(c: &mut Criterion) {
     });
 }
 
-/// Minimal common surface of the optimized and reference channels, so
-/// one driver can benchmark both.
-trait SchedChannel {
-    fn enqueue(&mut self, req: Request) -> bool;
-    fn tick(&mut self, now: u64);
-    fn take_completions(&mut self) -> Vec<Completion>;
-    fn read_queue_has_space(&self) -> bool;
-    fn write_queue_has_space(&self) -> bool;
-}
-
-macro_rules! impl_sched_channel {
-    ($ty:ty) => {
-        impl SchedChannel for $ty {
-            fn enqueue(&mut self, req: Request) -> bool {
-                <$ty>::enqueue(self, req)
-            }
-            fn tick(&mut self, now: u64) {
-                <$ty>::tick(self, now)
-            }
-            fn take_completions(&mut self) -> Vec<Completion> {
-                <$ty>::take_completions(self)
-            }
-            fn read_queue_has_space(&self) -> bool {
-                <$ty>::read_queue_has_space(self)
-            }
-            fn write_queue_has_space(&self) -> bool {
-                <$ty>::write_queue_has_space(self)
-            }
-        }
-    };
-}
-
-impl_sched_channel!(Channel);
-impl_sched_channel!(ReferenceChannel);
-
 /// A request mix that keeps both controller queues deep: mostly dense
 /// blocks (row hits spread over many banks) plus a slice of same-bank
 /// different-row strides (conflicts forcing PRE/ACT churn).
@@ -100,9 +65,9 @@ fn saturated_workload(n: usize) -> Vec<(u64, bool)> {
 }
 
 /// Push the workload through a channel, refilling the queues as space
-/// opens so they stay saturated, and return the cycle the last request
-/// completed.
-fn drive_saturated<C: SchedChannel>(ch: &mut C, workload: &[(u64, bool)]) -> u64 {
+/// opens so they stay saturated (a refused enqueue waits for the next
+/// cycle), and return the cycle the last request completed.
+fn drive_saturated<C: Scheduler>(ch: &mut C, workload: &[(u64, bool)]) -> u64 {
     let cfg = DramConfig::table_iii();
     let dec = AddressDecoder::new(cfg.geometry, cfg.mapping);
     let mut next = 0usize;
@@ -111,16 +76,10 @@ fn drive_saturated<C: SchedChannel>(ch: &mut C, workload: &[(u64, bool)]) -> u64
     while done < workload.len() {
         while next < workload.len() {
             let (addr, is_write) = workload[next];
-            let space = if is_write {
-                ch.write_queue_has_space()
-            } else {
-                ch.read_queue_has_space()
-            };
-            if !space {
+            let req = Request::new(next as u64, addr, dec.decode(addr), is_write, now);
+            if !ch.enqueue(req) {
                 break;
             }
-            let req = Request::new(next as u64, addr, dec.decode(addr), is_write, now);
-            assert!(ch.enqueue(req));
             next += 1;
         }
         ch.tick(now);

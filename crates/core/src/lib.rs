@@ -32,7 +32,6 @@ pub mod error;
 pub mod mac;
 pub mod model;
 pub mod overhead;
-pub mod reference;
 pub mod scheme;
 pub mod tree;
 pub mod verify;
@@ -48,7 +47,6 @@ pub use model::{
     build_model, LinkLevelModel, OramLayout, OramModel, OramShadow, SchemeModel, TreeWalkModel,
 };
 pub use overhead::{table_i, OverheadRow};
-pub use reference::ReferenceEngine;
 pub use scheme::{LeakageClass, ModelFamily, ParityMode, Scheme, SchemeSpec, TreeKind};
 pub use tree::{NodeId, TreeGeometry, NODE_BYTES};
 pub use verify::{IntegrityError, Snapshot, VerifiedMemory};

@@ -10,8 +10,7 @@
 //! address math.
 //!
 //! * [`TreeWalkModel`] — the paper's 13 design points, moved verbatim
-//!   from the old engine body (the lockstep equivalence oracle against
-//!   [`crate::ReferenceEngine`] proves the move changed nothing);
+//!   from the old engine body;
 //! * [`LinkLevelModel`] — SecDDR: MAC in the ECC transfer, anti-replay
 //!   counters on chip, zero extra memory transactions;
 //! * [`OramModel`] — IRO: bucket-path reads per access, deterministic

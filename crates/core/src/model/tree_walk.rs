@@ -4,10 +4,9 @@
 //! the degenerate no-tree case.
 //!
 //! This is the original [`crate::SecurityEngine`] access path moved
-//! behind [`SchemeModel`] verbatim — the lockstep equivalence oracle
-//! against [`crate::ReferenceEngine`] and the byte-identical figure
-//! JSON across the refactor are the proof that only the seam moved,
-//! not the semantics.
+//! behind [`SchemeModel`] verbatim. Per-access output pins in
+//! `crates/oracle/tests/engine_pins.rs`, the snapshot and whole-run
+//! pins and the committed figure JSON hold its behaviour fixed.
 
 use std::collections::BTreeSet;
 

@@ -204,27 +204,6 @@ impl Scheme {
         Scheme::IrOram,
     ];
 
-    /// The paper's own 13 design points — every scheme the scalar
-    /// [`crate::ReferenceEngine`] understands. The lockstep equivalence
-    /// oracle iterates exactly this set; the related-work baselines
-    /// (`SecDdr`, `IrOram`) are deliberately excluded because the
-    /// reference twin predates them.
-    pub const TREE_LINEAGE: [Scheme; 13] = [
-        Scheme::Unsecure,
-        Scheme::Vault,
-        Scheme::ItVault,
-        Scheme::Synergy,
-        Scheme::ItSynergy,
-        Scheme::ItSynergyParityCache,
-        Scheme::ItSynergySharedParity,
-        Scheme::ItSynergySharedParityCache,
-        Scheme::Itesp,
-        Scheme::Syn128,
-        Scheme::ItSyn128,
-        Scheme::Itesp64,
-        Scheme::Itesp128,
-    ];
-
     /// Parse a figure label (e.g. `"ITSYN+SP"`) back into a scheme.
     /// Case-insensitive.
     ///
@@ -595,9 +574,7 @@ mod tests {
     #[test]
     fn tree_lineage_is_all_minus_the_baselines() {
         assert_eq!(Scheme::ALL.len(), 15);
-        assert_eq!(Scheme::TREE_LINEAGE.len(), 13);
-        assert_eq!(&Scheme::ALL[..13], &Scheme::TREE_LINEAGE[..]);
-        for s in Scheme::TREE_LINEAGE {
+        for s in &Scheme::ALL[..13] {
             assert_eq!(s.family(), ModelFamily::TreeWalk);
         }
         assert_eq!(Scheme::SecDdr.family(), ModelFamily::LinkLevel);

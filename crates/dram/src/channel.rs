@@ -7,10 +7,10 @@
 //!
 //! # Performance structure
 //!
-//! This is the optimized hot path; [`crate::reference::ReferenceChannel`]
-//! is the straight-line executable specification it must match
-//! command-for-command (checked by the `scheduler_equivalence` property
-//! test). Four mechanisms make it fast without changing behavior:
+//! This is the optimized hot path; `ReferenceChannel` (in the
+//! `itesp-oracle` test-support crate) is the straight-line executable
+//! specification it must match command-for-command (checked by the
+//! `scheduler_equivalence` property test there). Four mechanisms make it fast without changing behavior:
 //!
 //! * **Per-bank indexed queues** ([`RequestQueue`]): requests live in a
 //!   reusable slab, stamped with a monotonically increasing sequence

@@ -36,7 +36,6 @@ pub mod channel;
 pub mod command;
 pub mod config;
 pub mod power;
-pub mod reference;
 
 pub use address::{AddressDecoder, AddressMapping, DecodedAddr};
 pub use channel::Channel;
@@ -46,7 +45,6 @@ pub use config::{
     BLOCK_SHIFT,
 };
 pub use power::{energy_for_run, EnergyBreakdown};
-pub use reference::ReferenceChannel;
 
 /// Error returned when a controller queue cannot accept a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,15 +1,16 @@
-//! Workload generation and lockstep driving for the protocol checker.
+//! Workload generation and driving for the scheduler oracles.
 //!
-//! Mirrors the arrival-mix shapes of `crates/dram/tests/scheduler_equivalence.rs`
-//! (the generators cannot be imported from there — integration tests are
-//! not a library) and drives any [`Scheduler`] implementation with
+//! The arrival mixes ([`Arrival`], [`addr_for`]) are shared by the
+//! scheduler-equivalence property test and the protocol checker's
+//! tests; [`run_arrivals`] drives any [`Scheduler`] implementation with
 //! identical enqueue backpressure, returning the full command log for
 //! validation.
 
 use itesp_dram::{
-    AddressDecoder, Channel, Completion, DramConfig, IssuedCommand, ReferenceChannel, Request,
-    BLOCK_BYTES,
+    AddressDecoder, Channel, Completion, DramConfig, IssuedCommand, Request, BLOCK_BYTES,
 };
+
+use crate::reference::ReferenceChannel;
 
 /// One element of a generated workload: wait `gap` cycles after the
 /// previous arrival, then issue a request derived from `(kind, idx)`.
@@ -61,8 +62,8 @@ macro_rules! impl_scheduler {
 impl_scheduler!(Channel);
 impl_scheduler!(ReferenceChannel);
 
-/// Map a generated `(kind, idx)` pair to a block address — the same
-/// mapping the scheduler-equivalence property tests use.
+/// Map a generated `(kind, idx)` pair to a block address (see
+/// [`Arrival`]).
 pub fn addr_for(cfg: &DramConfig, kind: u8, idx: u32) -> u64 {
     let g = cfg.geometry;
     if kind == 0 {

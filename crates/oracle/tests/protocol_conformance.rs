@@ -5,9 +5,9 @@
 //! property tests (plus the fixed corner-case workloads), and every
 //! command they emit is validated by the independent protocol checker.
 
-use itesp_dram::{Channel, DramConfig, ReferenceChannel};
+use itesp_dram::{Channel, DramConfig};
 use itesp_oracle::workload::{run_arrivals, Arrival};
-use itesp_oracle::{with_seeds, ProtocolChecker};
+use itesp_oracle::{with_seeds, ProtocolChecker, ReferenceChannel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

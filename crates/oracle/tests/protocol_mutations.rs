@@ -8,9 +8,9 @@
 //! checker must reject the log — proving the oracle detects real timing
 //! bugs rather than vacuously passing everything.
 
-use itesp_dram::{AddressDecoder, Channel, DramConfig, ReferenceChannel};
+use itesp_dram::{AddressDecoder, Channel, DramConfig};
 use itesp_oracle::workload::{find_addr, run_arrivals, run_stream, Arrival, WorkloadRun};
-use itesp_oracle::{ProtocolChecker, ProtocolViolation};
+use itesp_oracle::{ProtocolChecker, ProtocolViolation, ReferenceChannel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
