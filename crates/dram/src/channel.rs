@@ -807,6 +807,8 @@ impl Channel {
             Command::Read
         };
         self.log_cmd(now, cmd, req.coords.rank, bi as u32, req.coords.row);
+        // The completion is visible from the next drain, at issue time:
+        // the simulator does not wait for `finish` (DESIGN.md §6).
         self.completions.push(Completion {
             id: req.id,
             is_write: req.is_write,

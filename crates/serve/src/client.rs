@@ -42,6 +42,19 @@ fn error_from_wire(code: u16, msg: String) -> ServeError {
     }
 }
 
+/// Open a traffic connection with `TCP_NODELAY` set, so the small
+/// `End` frame that follows the `Records` goes out at once instead of
+/// waiting (~40 ms) for the daemon's delayed ACK.
+///
+/// # Errors
+/// Transport failures.
+pub fn connect(addr: SocketAddr, read_timeout: Duration) -> Result<TcpStream, ServeError> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(read_timeout))?;
+    Ok(stream)
+}
+
 /// Run one request against a known traffic address, no retry.
 ///
 /// # Errors
@@ -51,8 +64,7 @@ pub fn run_once(
     hello: &Hello,
     records: &[TraceRecord],
 ) -> Result<ClientReply, ServeError> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(300)))?;
+    let mut stream = connect(addr, Duration::from_secs(300))?;
     write_frame(&mut stream, FrameKind::Hello, &hello.encode())?;
     let Some(reply) = read_frame(&mut stream)? else {
         return Err(ServeError::Truncated { needed: 9, got: 0 });
@@ -151,8 +163,7 @@ pub fn misbehave(
     hello: &Hello,
     records: &[TraceRecord],
 ) -> Result<(), ServeError> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
+    let mut stream = connect(addr, Duration::from_secs(30))?;
     match mode {
         ChaosMode::DisconnectMidFrame => {
             write_frame(&mut stream, FrameKind::Hello, &hello.encode())?;

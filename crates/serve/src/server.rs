@@ -1,4 +1,4 @@
-//! The daemon: accept loop, admission control, drain, metrics.
+//! The daemon: acceptors, admission control, drain, metrics.
 //!
 //! Two listeners on ephemeral loopback ports, published atomically in
 //! a `ports` file under the state directory (ports change across
@@ -11,13 +11,33 @@
 //!   and in-flight gauges, `D` triggers a drain, `P` answers `ok`
 //!   (liveness).
 //!
+//! ## Accepting
+//!
+//! Each listener has an acceptor thread of its own that blocks in
+//! `accept` and hands every connection to a handler thread, so a new
+//! connection is picked up the moment it arrives: no request waits on
+//! a timer. Every accepted traffic stream, and every client stream,
+//! sets `TCP_NODELAY` before its first read. A request ends with small
+//! writes (the client's `End` frame after its `Records`, the daemon's
+//! reply), and with Nagle's algorithm on, such a write can wait for
+//! the peer's delayed ACK, about 40 ms.
+//!
+//! An acceptor stops when its stop flag is set and one connection
+//! arrives after it: [`Server::run`] sets the flag and connects once to
+//! the listener's own address. The main thread of `run` sleeps until
+//! `D` (the metrics handler wakes it), an acceptor's `accept` fails,
+//! or the SIGTERM latch is seen. A signal handler can only set a flag,
+//! so the latch is read on a short timer; nothing else is.
+//!
 //! ## Drain
 //!
-//! SIGTERM (or `D`) flips the drain flag: new Hellos are refused with
-//! a typed `Draining` error, admitted requests run to completion, and
-//! once every reservation is released — which the shard workers only
-//! do *after* registering the completion — the registry is snapshotted
-//! through [`itesp_snap`] and the daemon exits. A restarted daemon
+//! SIGTERM (or `D`) flips the drain flag: the traffic acceptor stops,
+//! Hellos on connections already open are refused with a typed
+//! `Draining` error, admitted requests run to completion, and once
+//! every reservation is released — which the shard workers only do
+//! *after* registering the completion — the registry is snapshotted
+//! through [`itesp_snap`] and the daemon exits. The metrics acceptor
+//! keeps answering throughout and stops last. A restarted daemon
 //! recovers the registry from the freshest valid snapshot with the
 //! anti-rollback check enforced, so per-tenant stats survive both
 //! graceful drains and SIGKILL (modulo requests completed after the
@@ -28,7 +48,8 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
@@ -69,6 +90,18 @@ pub fn install_sigterm_handler() {
 
 #[cfg(not(unix))]
 pub fn install_sigterm_handler() {}
+
+/// How often the main thread of [`Server::run`] reads the SIGTERM
+/// latch, the one trigger that cannot wake it.
+const TERM_POLL: Duration = Duration::from_millis(10);
+
+/// What wakes the main thread of [`Server::run`].
+enum Wake {
+    /// The metrics `D` command.
+    Drain,
+    /// An acceptor's `accept` failed; the error comes back from its join.
+    Failed,
+}
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -198,47 +231,51 @@ impl Server {
     /// Only fatal I/O on the listeners; per-connection failures are
     /// handled (typed error to that client) without surfacing here.
     pub fn run(self) -> Result<(), ServeError> {
-        self.traffic.set_nonblocking(true).map_err(ServeError::Io)?;
-        self.metrics.set_nonblocking(true).map_err(ServeError::Io)?;
-        let conns = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        loop {
-            let draining = self.draining.load(Ordering::SeqCst) || TERM.load(Ordering::SeqCst);
-            if draining {
-                break;
-            }
-            let mut idle = true;
-            match self.traffic.accept() {
-                Ok((stream, _)) => {
-                    idle = false;
-                    self.spawn_traffic(stream, &conns);
+        let conns = Arc::new(AtomicUsize::new(0));
+        let closed = AtomicBool::new(false);
+        let (wake, woken) = mpsc::channel();
+        thread::scope(|s| {
+            let traffic = thread::Builder::new()
+                .name("itesp-serve-accept".into())
+                .spawn_scoped(s, || {
+                    accept_until(&self.traffic, &self.draining, &wake, |stream| {
+                        self.spawn_traffic(stream, &conns)
+                    })
+                })?;
+            let metrics = thread::Builder::new()
+                .name("itesp-serve-metrics-accept".into())
+                .spawn_scoped(s, || {
+                    accept_until(&self.metrics, &closed, &wake, |stream| {
+                        self.spawn_metrics(stream, &wake)
+                    })
+                });
+            let metrics = match metrics {
+                Ok(handle) => handle,
+                Err(e) => {
+                    stop_acceptor(&self.draining, self.traffic_addr(), &traffic);
+                    return Err(ServeError::Io(e));
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-                Err(e) => return Err(ServeError::Io(e)),
-            }
-            match self.metrics.accept() {
-                Ok((stream, _)) => {
-                    idle = false;
-                    self.spawn_metrics(stream);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-                Err(e) => return Err(ServeError::Io(e)),
-            }
-            if idle {
-                thread::sleep(Duration::from_millis(2));
-            }
-        }
+            };
 
-        // Drain: connections still open get typed `Draining` refusals
-        // for new Hellos (the flag is checked per request); admitted
-        // work finishes. Reservations are released only after the
-        // registry is updated, so pending == 0 means stats are final.
-        self.draining.store(true, Ordering::SeqCst);
+            let failed = wait_for_stop(&woken);
+            // Connections still open get typed `Draining` refusals for
+            // new Hellos (the flag is checked per request); admitted
+            // work finishes, and metrics are answered until the end.
+            stop_acceptor(&self.draining, self.traffic_addr(), &traffic);
+            let drained = if failed { Ok(()) } else { self.drain(&conns) };
+            stop_acceptor(&closed, self.metrics_addr(), &metrics);
+            let accepted = traffic.join().expect("traffic acceptor");
+            accepted.and(metrics.join().expect("metrics acceptor"))?;
+            drained
+        })
+    }
+
+    /// Wait until every admitted request has finished, then commit the
+    /// drain snapshot. Reservations are released only after the
+    /// registry is updated, so pending == 0 means stats are final.
+    fn drain(&self, conns: &AtomicUsize) -> Result<(), ServeError> {
         eprintln!("[serve: draining — refusing new admissions]");
         while self.pool.pending_total() > 0 || conns.load(Ordering::Acquire) > 0 {
-            // Keep answering metrics scrapes during the drain.
-            if let Ok((stream, _)) = self.metrics.accept() {
-                self.spawn_metrics(stream);
-            }
             thread::sleep(Duration::from_millis(5));
         }
         let store = self.store.lock().expect("snapshot store lock");
@@ -254,7 +291,7 @@ impl Server {
         Ok(())
     }
 
-    fn spawn_traffic(&self, stream: TcpStream, conns: &Arc<std::sync::atomic::AtomicUsize>) {
+    fn spawn_traffic(&self, stream: TcpStream, conns: &Arc<AtomicUsize>) {
         let registry = Arc::clone(&self.registry);
         let pool = Arc::clone(&self.pool);
         let draining = Arc::clone(&self.draining);
@@ -290,15 +327,63 @@ impl Server {
         }
     }
 
-    fn spawn_metrics(&self, stream: TcpStream) {
+    fn spawn_metrics(&self, stream: TcpStream, wake: &Sender<Wake>) {
         let registry = Arc::clone(&self.registry);
         let pool = Arc::clone(&self.pool);
         let draining = Arc::clone(&self.draining);
+        let wake = wake.clone();
         let _ = thread::Builder::new()
             .name("itesp-serve-metrics".into())
             .spawn(move || {
-                let _ = handle_metrics(stream, &registry, &pool, &draining);
+                let _ = handle_metrics(stream, &registry, &pool, &draining, &wake);
             });
+    }
+}
+
+/// Block in `accept`, handing each connection to `serve`, until a
+/// connection arrives with `stop` set (see [`stop_acceptor`]). A failed
+/// `accept` wakes the main thread and ends the loop with its error.
+fn accept_until(
+    listener: &TcpListener,
+    stop: &AtomicBool,
+    wake: &Sender<Wake>,
+    mut serve: impl FnMut(TcpStream),
+) -> std::io::Result<()> {
+    loop {
+        let stream = match listener.accept() {
+            Ok((stream, _)) => stream,
+            Err(e) => {
+                let _ = wake.send(Wake::Failed);
+                return Err(e);
+            }
+        };
+        if stop.load(Ordering::SeqCst) {
+            return Ok(());
+        }
+        serve(stream);
+    }
+}
+
+/// Stop the acceptor of the listener at `addr`: set its `stop` flag,
+/// then connect once so its blocked `accept` returns and sees the
+/// flag. A connection that lands in the backlog is enough; the connect
+/// is retried only while it fails and the acceptor still runs.
+fn stop_acceptor<T>(stop: &AtomicBool, addr: SocketAddr, acceptor: &thread::ScopedJoinHandle<T>) {
+    stop.store(true, Ordering::SeqCst);
+    while !acceptor.is_finished() && TcpStream::connect(addr).is_err() {
+        thread::sleep(TERM_POLL);
+    }
+}
+
+/// Block until `D`, SIGTERM or a failed acceptor; true for the last.
+fn wait_for_stop(woken: &Receiver<Wake>) -> bool {
+    loop {
+        match woken.recv_timeout(TERM_POLL) {
+            Ok(Wake::Drain) => return false,
+            Ok(Wake::Failed) => return true,
+            Err(_) if TERM.load(Ordering::SeqCst) => return false,
+            Err(_) => {}
+        }
     }
 }
 
@@ -308,6 +393,7 @@ fn handle_metrics(
     registry: &Registry,
     pool: &ShardPool,
     draining: &AtomicBool,
+    wake: &Sender<Wake>,
 ) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
     let mut cmd = [0u8; 1];
@@ -322,6 +408,7 @@ fn handle_metrics(
         }
         b'D' => {
             draining.store(true, Ordering::SeqCst);
+            let _ = wake.send(Wake::Drain);
             "draining\n".to_owned()
         }
         b'P' => "ok\n".to_owned(),
@@ -363,6 +450,7 @@ fn serve_request(
     read_timeout: Duration,
     max_records: u64,
 ) -> Result<(), ServeError> {
+    stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(read_timeout))?;
 
     let Some(frame) = read_frame(stream)? else {
@@ -505,4 +593,66 @@ pub fn metrics_command(addr: SocketAddr, cmd: u8) -> Result<String, ServeError> 
     let mut body = String::new();
     stream.read_to_string(&mut body)?;
     Ok(body)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn start(tag: &str) -> Server {
+        let dir = std::env::temp_dir().join(format!("itesp-server-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cfg = ServerConfig::new(dir);
+        cfg.shards = 1;
+        cfg.queue_depth = 1;
+        Server::start(cfg).expect("start server")
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_failed_listener_ends_run_with_its_error() {
+        let mut server = start("listener-error");
+        let state_dir = server.cfg.state_dir.clone();
+        // A UDP socket cannot accept, so the traffic acceptor's first
+        // `accept` fails.
+        let udp = std::net::UdpSocket::bind("127.0.0.1:0").expect("bind udp");
+        server.traffic = TcpListener::from(std::os::fd::OwnedFd::from(udp));
+        let (done, result) = mpsc::channel();
+        thread::spawn(move || done.send(server.run()));
+        let outcome = result
+            .recv_timeout(Duration::from_secs(30))
+            .expect("run returns");
+        assert!(matches!(outcome, Err(ServeError::Io(_))), "{outcome:?}");
+        let _ = std::fs::remove_dir_all(state_dir);
+    }
+
+    #[test]
+    fn traffic_streams_set_nodelay_before_reading() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (accepted, _) = listener.accept().expect("accept");
+        let probe = accepted.try_clone().expect("clone");
+        assert!(!probe.nodelay().expect("nodelay"));
+        drop(client); // the handler reads EOF and returns
+        let registry = Arc::new(Registry::new());
+        let pool = ShardPool::spawn(
+            1,
+            1,
+            Duration::from_secs(5),
+            Arc::clone(&registry),
+            None,
+            0,
+            None,
+        );
+        let draining = AtomicBool::new(false);
+        handle_connection(
+            accepted,
+            &registry,
+            &pool,
+            &draining,
+            Duration::from_secs(5),
+            1,
+        );
+        assert!(probe.nodelay().expect("nodelay"));
+    }
 }

@@ -22,7 +22,7 @@
 //! tenant's retry after reconnecting recomputes byte-identical stats.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{Receiver, SendError, SyncSender};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::Duration;
@@ -172,32 +172,23 @@ impl AdmitToken<'_> {
     /// Hand the request to the shard worker. The reservation now
     /// belongs to the worker, which releases it after the completion
     /// is registered. Returns the channel the outcome arrives on.
+    ///
+    /// The send never waits: the channel holds `queue_depth` jobs, a
+    /// queued job holds one of at most `queue_depth` reservations, and
+    /// the worker releases a reservation only after its job has left
+    /// the channel, so the channel is never full.
     pub fn submit(mut self, req: TenantRequest) -> Receiver<Outcome> {
         let (reply, outcome_rx) = mpsc::channel();
-        let mut job = Job { req, reply };
         self.armed = false;
-        loop {
-            match self.shard.tx.try_send(job) {
-                Ok(()) => return outcome_rx,
-                // The reservation bounds outstanding jobs at the
-                // channel's capacity, so a full queue is transient
-                // (the worker is between recv and done); block briefly
-                // — this is backpressure, not an error.
-                Err(TrySendError::Full(j)) => {
-                    job = j;
-                    thread::sleep(std::time::Duration::from_millis(1));
-                }
-                Err(TrySendError::Disconnected(j)) => {
-                    // Worker gone (only during teardown): report as a
-                    // panic outcome so the client sees a typed error.
-                    self.shard.pending.fetch_sub(1, Ordering::AcqRel);
-                    let _ = j.reply.send(JobOutcome::Panicked {
-                        message: "shard worker unavailable".into(),
-                    });
-                    return outcome_rx;
-                }
-            }
+        if let Err(SendError(job)) = self.shard.tx.send(Job { req, reply }) {
+            // Worker gone (only during teardown): report as a panic
+            // outcome so the client sees a typed error.
+            self.shard.pending.fetch_sub(1, Ordering::AcqRel);
+            let _ = job.reply.send(JobOutcome::Panicked {
+                message: "shard worker unavailable".into(),
+            });
         }
+        outcome_rx
     }
 }
 
@@ -332,6 +323,46 @@ mod tests {
         assert_eq!(registry.completed(), 1);
         // Reservation released only after registration.
         assert_eq!(pool.pending_total(), 0);
+    }
+
+    #[test]
+    fn a_busy_shard_takes_queue_depth_submissions_without_waiting() {
+        const DEPTH: usize = 3;
+        let dir = std::env::temp_dir().join(format!("itesp-shard-submit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(Mutex::new(SnapshotStore::open(&dir).unwrap()));
+        let registry = Arc::new(Registry::new());
+        let pool = ShardPool::spawn(
+            1,
+            DEPTH,
+            TIMEOUT,
+            Arc::clone(&registry),
+            Some(Arc::clone(&store)),
+            1,
+            None,
+        );
+        // While the test holds the store, the worker blocks in the
+        // snapshot after its first job, still holding every reservation.
+        let held = store.lock().unwrap();
+        let tokens: Vec<_> = (0..DEPTH as u64)
+            .map(|tenant| (tenant, pool.try_admit(tenant).unwrap()))
+            .collect();
+        assert!(matches!(pool.try_admit(9), Err(ServeError::Busy)));
+        let outcomes: Vec<_> = tokens
+            .into_iter()
+            .map(|(tenant, token)| token.submit(request(tenant, 50)))
+            .collect();
+        // Every submit returned while the worker could finish none.
+        assert_eq!(pool.pending_total(), DEPTH);
+        assert!(outcomes.iter().all(|rx| rx.try_recv().is_err()));
+        drop(held);
+        for rx in outcomes {
+            let outcome = rx.recv();
+            assert!(matches!(outcome, Ok(JobOutcome::Ok(Ok(_)))), "{outcome:?}");
+        }
+        assert_eq!(registry.completed(), DEPTH as u64);
+        assert_eq!(pool.pending_total(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

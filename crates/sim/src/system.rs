@@ -371,6 +371,9 @@ impl System {
                 self.ras_tick(dram_now);
                 self.drain_pending_meta(dram_now);
                 self.mem.tick(dram_now);
+                // A read's completion is pushed when its CAS issues, so
+                // its ROB entry is marked done here, tCAS + tBURST before
+                // `Completion::finish` (DESIGN.md §6).
                 let mut buf = std::mem::take(&mut self.comp_buf);
                 buf.clear();
                 self.mem.drain_completions_into(&mut buf);
