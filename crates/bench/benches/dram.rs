@@ -30,10 +30,10 @@ fn bench_service(c: &mut Criterion) {
                 mem.enqueue_read(addr, 0).expect("space");
             }
             let mut now = 0;
-            let mut done = 0;
-            while done < 32 {
+            let mut done = Vec::new();
+            while done.len() < 32 {
                 mem.tick(now);
-                done += mem.take_completions().len();
+                mem.drain_completions_into(&mut done);
                 now += 1;
             }
             std::hint::black_box(now)
@@ -71,9 +71,9 @@ fn drive_saturated<C: Scheduler>(ch: &mut C, workload: &[(u64, bool)]) -> u64 {
     let cfg = DramConfig::table_iii();
     let dec = AddressDecoder::new(cfg.geometry, cfg.mapping);
     let mut next = 0usize;
-    let mut done = 0usize;
+    let mut done = Vec::new();
     let mut now = 0u64;
-    while done < workload.len() {
+    while done.len() < workload.len() {
         while next < workload.len() {
             let (addr, is_write) = workload[next];
             let req = Request::new(next as u64, addr, dec.decode(addr), is_write, now);
@@ -83,7 +83,7 @@ fn drive_saturated<C: Scheduler>(ch: &mut C, workload: &[(u64, bool)]) -> u64 {
             next += 1;
         }
         ch.tick(now);
-        done += ch.take_completions().len();
+        ch.drain_completions_into(&mut done);
         now += 1;
     }
     now

@@ -365,7 +365,7 @@ pub struct Channel {
     completions: Vec<Completion>,
     cmd_log: Option<Vec<IssuedCommand>>,
     /// Lower bound on the next cycle at which any command can issue;
-    /// `tick` is a no-op before it. Reset on enqueue and fast-forward.
+    /// `tick` is a no-op before it. Reset on enqueue.
     next_wake: u64,
     /// `log2(banks_per_rank)`: a bank index shifted right by this is
     /// its rank.
@@ -480,11 +480,6 @@ impl Channel {
         self.next_wake
     }
 
-    /// Drain accumulated completions.
-    pub fn take_completions(&mut self) -> Vec<Completion> {
-        std::mem::take(&mut self.completions)
-    }
-
     /// Append accumulated completions to `out`, keeping this channel's
     /// buffer (and its capacity) in place.
     pub fn drain_completions_into(&mut self, out: &mut Vec<Completion>) {
@@ -545,22 +540,6 @@ impl Channel {
                 }
             }
         };
-    }
-
-    /// Process refreshes in bulk when the channel has been idle and the
-    /// caller jumps time forward from `from` to `to`.
-    pub fn fast_forward(&mut self, to: u64) {
-        let t = self.cfg.timing;
-        for r in 0..self.ranks.len() {
-            while self.ranks[r].next_refresh <= to {
-                let deadline = self.ranks[r].next_refresh;
-                self.ranks[r].refresh(deadline, &t);
-                self.stats.refreshes += 1;
-                self.log_cmd(deadline, Command::Refresh, r as u32, 0, 0);
-            }
-        }
-        self.refresh_due = earliest_refresh(&self.ranks);
-        self.next_wake = 0;
     }
 
     /// Refresh model: at the per-rank deadline, force-close the rank's
@@ -951,7 +930,7 @@ mod tests {
         let deadline = now + 1_000_000;
         while !ch.is_idle() && now < deadline {
             ch.tick(now);
-            done.extend(ch.take_completions());
+            ch.drain_completions_into(&mut done);
             now += 1;
         }
         assert!(now < deadline, "channel failed to drain");
@@ -1038,7 +1017,9 @@ mod tests {
         let mut wrote = 0;
         while wrote == 0 && now < 100_000 {
             ch.tick(now);
-            wrote = ch.take_completions().iter().filter(|c| c.is_write).count();
+            let mut done = Vec::new();
+            ch.drain_completions_into(&mut done);
+            wrote = done.iter().filter(|c| c.is_write).count();
             now += 1;
         }
         assert!(wrote > 0, "writes never drained");
@@ -1065,19 +1046,37 @@ mod tests {
         ch.enqueue(req(&dec, 1, 0, false, 0));
         while now < 2 * t.t_refi + t.t_rfc + 100 {
             ch.tick(now);
-            ch.take_completions();
             now += 1;
         }
         assert!(ch.stats().refreshes >= 16, "all 16 ranks should refresh");
     }
 
+    /// An idle channel ticked only at [`Channel::next_event`] refreshes
+    /// exactly as one ticked every cycle: same count, same command log.
     #[test]
-    fn fast_forward_accumulates_refreshes() {
-        let (mut ch, _) = setup();
+    fn idle_ticks_at_next_event_match_every_cycle() {
         let t = DramConfig::table_iii().timing;
-        ch.fast_forward(10 * t.t_refi);
+        let end = 10 * t.t_refi;
+        let run = |skip: bool| {
+            let (mut ch, _) = setup();
+            ch.enable_cmd_log();
+            let mut now = 0;
+            while now < end {
+                ch.tick(now);
+                now = if skip {
+                    ch.next_event().max(now + 1)
+                } else {
+                    now + 1
+                };
+            }
+            (ch.stats().refreshes, ch.take_cmd_log())
+        };
+        let (every, every_log) = run(false);
+        let (skipped, skipped_log) = run(true);
         // 16 ranks x ~9-10 intervals each (staggered start).
-        assert!(ch.stats().refreshes >= 140);
+        assert!(every >= 140, "{every} refreshes");
+        assert_eq!(skipped, every);
+        assert_eq!(skipped_log, every_log);
     }
 
     #[test]

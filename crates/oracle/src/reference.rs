@@ -128,9 +128,9 @@ impl ReferenceChannel {
         self.read_q.is_empty() && self.write_q.is_empty()
     }
 
-    /// Drain accumulated completions.
-    pub fn take_completions(&mut self) -> Vec<Completion> {
-        std::mem::take(&mut self.completions)
+    /// Append accumulated completions to `out`.
+    pub fn drain_completions_into(&mut self, out: &mut Vec<Completion>) {
+        out.append(&mut self.completions);
     }
 
     pub fn stats(&self) -> &ChannelStats {

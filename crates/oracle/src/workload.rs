@@ -28,7 +28,7 @@ pub trait Scheduler {
     fn enqueue(&mut self, req: Request) -> bool;
     fn tick(&mut self, now: u64);
     fn is_idle(&self) -> bool;
-    fn take_completions(&mut self) -> Vec<Completion>;
+    fn drain_completions_into(&mut self, out: &mut Vec<Completion>);
 }
 
 macro_rules! impl_scheduler {
@@ -52,8 +52,8 @@ macro_rules! impl_scheduler {
             fn is_idle(&self) -> bool {
                 self.is_idle()
             }
-            fn take_completions(&mut self) -> Vec<Completion> {
-                self.take_completions()
+            fn drain_completions_into(&mut self, out: &mut Vec<Completion>) {
+                self.drain_completions_into(out);
             }
         }
     };
@@ -127,7 +127,7 @@ pub fn run_stream<S: Scheduler>(
             next += 1;
         }
         sched.tick(now);
-        completions.append(&mut sched.take_completions());
+        sched.drain_completions_into(&mut completions);
         now += 1;
     }
     assert!(now < deadline, "scheduler failed to drain the workload");

@@ -111,8 +111,9 @@ fn check_equivalence(cfg: DramConfig, arrivals: &[Arrival], restore_at: Option<u
         }
         opt.tick(now);
         refc.tick(now);
-        let co = opt.take_completions();
-        let cr = refc.take_completions();
+        let (mut co, mut cr) = (Vec::new(), Vec::new());
+        opt.drain_completions_into(&mut co);
+        refc.drain_completions_into(&mut cr);
         assert_eq!(co, cr, "completions diverged at cycle {now}");
         assert_eq!(
             opt.occupancy(),

@@ -23,7 +23,9 @@ use itesp_dram::{DramConfig, MemorySystem};
 use itesp_enclave::EnclaveManager;
 use itesp_migrate::{Cluster, ClusterConfig, ClusterWorkload, Residence, TenantLedger};
 use itesp_serve::{Registry, TenantStats};
-use itesp_sim::{build_churn_ras_system, ChurnDriver, ExperimentParams, RasConfig, SnapshotSink};
+use itesp_sim::{
+    build_churn_ras_system, ChurnDriver, ExperimentParams, RasConfig, SnapshotSink, System,
+};
 use itesp_snap::{crc32, Persist, SnapError, SnapReader, SnapWriter, SnapshotStore};
 use itesp_trace::{benchmark, ChurnConfig, ChurnWorkload, FrameAllocator, FreeListModel};
 use rand::rngs::StdRng;
@@ -53,9 +55,7 @@ const PINS: &[(&str, u32, usize)] = &[
     ("ENGN IRORAM", 0x342af614, 27355),
     ("ENGN SYN128 +overflow", 0x1fcaf17c, 34800),
     ("ENGN ITESP128 +overflow", 0xb90db098, 36071),
-    // The run loop parks blocked cores under RAS and churn too, so the
-    // four trailing `parked` flags are set at this capture.
-    ("SYST churn+RAS @ cycle 100004", 0x7c7465bf, 124696),
+    ("SYST churn+RAS @ cycle 100000", 0x5cda7687, 124684),
     ("CLUS tick 151", 0x4a06c2e7, 18465),
     ("MIGB tenant 0", 0x37773af7, 904),
     ("SRVT 4 tenants", 0xfe5547ed, 622),
@@ -128,7 +128,8 @@ fn engine_pins() -> Vec<(String, u32, usize)> {
         .collect()
 }
 
-fn system_pin() -> (String, u32, usize) {
+/// The churn + RAS timing system the `SYST` pin captures, unrun.
+fn churn_ras_system() -> System {
     let workload = ChurnWorkload::generate(
         benchmark("mcf").unwrap(),
         &ChurnConfig {
@@ -145,11 +146,15 @@ fn system_pin() -> (String, u32, usize) {
         seed: SEED,
         ..ExperimentParams::paper_4core(Scheme::Itesp, 300)
     };
-    let mut sys = build_churn_ras_system(
+    build_churn_ras_system(
         &workload,
         params,
         RasConfig::new(SEED ^ 0xFA17).with_fault_rate(20.0),
-    );
+    )
+}
+
+fn system_pin() -> (String, u32, usize) {
+    let mut sys = churn_ras_system();
     let dir = std::env::temp_dir().join(format!("itesp-snapshot-pins-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     sys.attach_snapshots(SnapshotSink::new(&dir, 100_000).unwrap());
@@ -426,6 +431,14 @@ const BUMPS: &[Bump] = &[
             bytes_of(&e)
         },
         load: |b| itesp_engine().load(&mut SnapReader::new(b), "engine"),
+    },
+    Bump {
+        tag: *b"SYST",
+        old: 1,
+        new: 2,
+        why: "no parked-core flags: parking elides no-op steps and is not state",
+        save: || bytes_of(&churn_ras_system()),
+        load: |b| churn_ras_system().load(&mut SnapReader::new(b), "system"),
     },
 ];
 

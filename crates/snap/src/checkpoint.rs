@@ -163,6 +163,11 @@ impl SnapshotSink {
         tick >= self.next_due
     }
 
+    /// The first tick at which a capture is due.
+    pub fn next_due(&self) -> u64 {
+        self.next_due
+    }
+
     /// Commit `state` as the snapshot at `tick` and restart the cadence
     /// from there.
     ///
