@@ -90,7 +90,7 @@ fn protocol_conformance_drain_flag_oscillation() {
     }
 }
 
-/// Long idle gaps: refreshes fired by fast-forward/wake logic must land
+/// Long idle gaps: refreshes fired by the channel's wake logic must land
 /// exactly on their staggered deadlines.
 #[test]
 fn protocol_conformance_idle_gaps_spanning_refresh() {

@@ -84,9 +84,9 @@ impl ChurnDriver {
         self.live.iter().all(|l| !l) && self.queues.iter().all(VecDeque::is_empty)
     }
 
-    /// Earliest pending arrival across slots waiting for one. It bounds
-    /// both clock jumps: the fast-forward window and, through
-    /// `System::driver_wake`, the bulk-advance window.
+    /// Earliest pending arrival across slots waiting for one. Through
+    /// `System::driver_wake` it bounds the bulk-advance window, so an
+    /// idle gap between sessions ends exactly at the admission.
     pub(crate) fn next_ready(&self) -> Option<u64> {
         self.live
             .iter()

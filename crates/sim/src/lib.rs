@@ -43,4 +43,4 @@ pub use experiments::{
 pub use ras::{Drill, RasConfig, RasError, RasStats};
 pub use recovery::{recover_system, RestoreError, SnapshotSink};
 pub use stats::RunResult;
-pub use system::{System, SystemConfig, CPU_PER_DRAM_CYCLE};
+pub use system::{RunError, System, SystemConfig, CPU_PER_DRAM_CYCLE};

@@ -2,8 +2,9 @@
 //!
 //! Full-system runs (trace replay through the security engine into the
 //! multi-channel memory system, including metadata traffic, write
-//! drains, fast-forward, and refresh) record every DRAM command, and the
-//! independent Table III protocol checker validates each channel's log.
+//! drains, idle clock jumps, and refresh) record every DRAM command,
+//! and the independent Table III protocol checker validates each
+//! channel's log.
 
 use itesp_core::{EngineConfig, Scheme};
 use itesp_dram::DramConfig;

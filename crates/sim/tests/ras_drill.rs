@@ -6,7 +6,7 @@ use std::collections::HashMap;
 
 use itesp_core::{EngineConfig, Scheme};
 use itesp_dram::{Command, DramConfig, IssuedCommand};
-use itesp_sim::{Drill, RasConfig, RasError, RunResult, System, SystemConfig};
+use itesp_sim::{Drill, RasConfig, RasError, RunError, RunResult, System, SystemConfig};
 use itesp_trace::{benchmark, MultiProgram};
 
 const OPS: usize = 500;
@@ -132,7 +132,7 @@ fn detection_only_scheme_reports_typed_uncorrectable() {
         .try_run()
         .expect_err("a dead chip without parity must halt");
     match err {
-        RasError::Uncorrectable { dram_cycle, .. } => {
+        RunError::Ras(RasError::Uncorrectable { dram_cycle, .. }) => {
             assert!(dram_cycle >= 200, "cannot fail before the drill fires")
         }
         other => panic!("expected Uncorrectable, got {other}"),

@@ -2,13 +2,14 @@
 //! freshly built system and the replayed suffix reproduces the
 //! uninterrupted run byte for byte; torn snapshot files are rejected
 //! with a typed error naming the path and recovery falls back to the
-//! last good one.
+//! last good one; a capture that cannot commit ends the run with a
+//! typed error.
 
 use std::fs;
 
 use itesp_core::Scheme;
 use itesp_sim::recovery::{recover_system, RestoreError, SnapshotSink};
-use itesp_sim::{build_churn_ras_system, ExperimentParams, RasConfig, RunResult, System};
+use itesp_sim::{build_churn_ras_system, ExperimentParams, RasConfig, RunError, RunResult, System};
 use itesp_snap::{decode_into, SnapshotStore, StoreError};
 use itesp_trace::{benchmark, ChurnConfig, ChurnWorkload};
 
@@ -188,4 +189,16 @@ fn snapshots_from_a_different_configuration_are_rejected() {
         other => panic!("expected a decode rejection, got {other:?}"),
     }
     let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_failed_capture_is_a_typed_error() {
+    let dir = tmpdir("gone");
+    let mut sys = build(seed());
+    sys.attach_snapshots(SnapshotSink::new(&dir, 100_000).unwrap());
+    fs::remove_dir_all(&dir).unwrap();
+    match sys.try_run() {
+        Err(RunError::Snapshot(StoreError::Io(_))) => {}
+        other => panic!("expected a snapshot I/O error, got {other:?}"),
+    }
 }
