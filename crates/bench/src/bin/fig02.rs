@@ -10,11 +10,11 @@
 
 use itesp_bench::{engine_replay, ops_from_env, print_table, run_campaign, save_json, TRACE_SEED};
 use itesp_core::{EngineConfig, Scheme};
+use itesp_snap::Persist;
 use itesp_trace::{FreeListModel, MultiProgram, BENCHMARKS};
 use serde::Serialize;
-use serde_json::FromValue;
 
-#[derive(Serialize, FromValue)]
+#[derive(Default, Serialize, Persist)]
 struct Row {
     benchmark: String,
     hits_per_block_large: f64,

@@ -13,11 +13,11 @@
 
 use itesp_bench::{engine_replay, ops_from_env, print_table, run_campaign, save_json, TRACE_SEED};
 use itesp_core::{EngineConfig, MissCase, Scheme};
+use itesp_snap::Persist;
 use itesp_trace::{memory_intensive, FreeListModel, MultiProgram};
 use serde::Serialize;
-use serde_json::FromValue;
 
-#[derive(Serialize, FromValue)]
+#[derive(Default, Serialize, Persist)]
 struct Row {
     benchmark: String,
     model: String,

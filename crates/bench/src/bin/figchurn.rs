@@ -25,9 +25,9 @@ use itesp_bench::{ops_from_env, print_table, run_campaign, save_json};
 use itesp_core::Scheme;
 use itesp_reliability::env_seed;
 use itesp_sim::{run_workload_churn, ExperimentParams, RunResult};
+use itesp_snap::Persist;
 use itesp_trace::{benchmark, ChurnConfig, ChurnWorkload};
 use serde::Serialize;
-use serde_json::FromValue;
 
 const SCHEMES: [Scheme; 5] = [
     Scheme::Unsecure,
@@ -50,7 +50,7 @@ const SLOTS: usize = 4;
 const SESSIONS_PER_SLOT: usize = 3;
 const FREE_FRACTION: f64 = 0.3;
 
-#[derive(Serialize, FromValue)]
+#[derive(Default, Serialize, Persist)]
 struct Row {
     sweep: String,
     arrival_gap: f64,

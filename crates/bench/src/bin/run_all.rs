@@ -422,7 +422,7 @@ fn run_grid(reports: &mut Vec<TargetReport>, failures: &mut Vec<String>) {
         reports.push(finish(fig.name, start, status, failures));
     }
     if all_saved {
-        let _ = std::fs::remove_file(Checkpoint::path_for(&results_dir_from_env(), GRID_TARGET));
+        let _ = std::fs::remove_dir_all(Checkpoint::dir_for(&results_dir_from_env(), GRID_TARGET));
     }
 }
 

@@ -11,15 +11,16 @@
 //! oracle-style replay command line, so a panicked job can be re-run in
 //! isolation (`ITESP_JOB_ONLY=<job> ... --resume`).
 //!
-//! Because job results round-trip byte-exactly through the checkpoint
-//! (see [`crate::checkpoint`]), a resumed campaign's final JSON is
-//! byte-identical to an uninterrupted run's.
+//! A row is any [`Persist`] type: the checkpoint stores its snapshot
+//! bytes (see [`crate::checkpoint`]), floats as their bit patterns, so
+//! a revived row is bit-identical to the computed one and a resumed
+//! campaign's final JSON is byte-identical to an uninterrupted run's.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use itesp_snap::Persist;
 use serde::Serialize;
-use serde_json::FromValue;
 
 use crate::checkpoint::{ckpt_dir, Checkpoint};
 use itesp_orchestrate::{run_isolated, JobOutcome, JobPolicy};
@@ -170,46 +171,32 @@ fn replay_line(target: &str, job: usize, ops: usize) -> String {
 /// `f` must be deterministic per job index — resumed runs rely on it.
 pub fn run_campaign_with<T, F>(target: &str, n: usize, opts: &CampaignOptions, f: F) -> Campaign<T>
 where
-    T: Serialize + FromValue + Send + 'static,
+    T: Persist + Default + Send + 'static,
     F: Fn(usize) -> T + Send + Sync + 'static,
 {
-    let mut ckpt = if opts.resume {
-        match Checkpoint::resume(&opts.results_dir, target, n, opts.ops) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        }
-    } else {
-        Checkpoint::fresh(&opts.results_dir, target, n, opts.ops)
-    };
-
-    // Revive checkpointed rows; a row that no longer parses as T is
-    // forgotten and recomputed.
+    let ckpt = Checkpoint::new(&opts.results_dir, target, n, opts.ops);
     let mut rows: Vec<Option<T>> = Vec::with_capacity(n);
     rows.resize_with(n, || None);
-    let cached: Vec<usize> = ckpt.completed().collect();
-    for job in cached {
-        let parsed = ckpt
-            .row(job)
-            .and_then(|raw| serde_json::from_str(raw).ok())
-            .and_then(|v| T::from_value(&v).ok());
-        match parsed {
-            Some(row) => rows[job] = Some(row),
-            None => ckpt.forget(job),
+    if opts.resume {
+        let done = ckpt.load::<T>().unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        });
+        if !done.is_empty() {
+            eprintln!(
+                "[{target}] resume: {} of {n} job(s) already checkpointed",
+                done.len()
+            );
         }
-    }
-    if opts.resume && ckpt.completed_count() > 0 {
-        eprintln!(
-            "[{target}] resume: {} of {n} job(s) already checkpointed",
-            ckpt.completed_count()
-        );
+        for (job, row) in done {
+            rows[job] = Some(row);
+        }
+    } else {
+        ckpt.clear();
     }
 
-    let (pending, skipped): (Vec<usize>, Vec<usize>) = ckpt
-        .pending()
-        .into_iter()
+    let (pending, skipped): (Vec<usize>, Vec<usize>) = (0..n)
+        .filter(|&j| rows[j].is_none())
         .partition(|&j| opts.job_only.is_none_or(|only| j == only));
 
     let inject = match &opts.inject_panic {
@@ -225,10 +212,7 @@ where
 
     let outcomes = run_isolated(&pending, &opts.policy, func, |job, outcome| {
         if let JobOutcome::Ok(v) = outcome {
-            match serde_json::to_string(v) {
-                Ok(row) => ckpt.record(job, row),
-                Err(e) => eprintln!("[warning: could not checkpoint {target} job {job}: {e}]"),
-            }
+            ckpt.record(job, v);
         }
     });
 
@@ -265,7 +249,7 @@ where
 /// from the command line and environment.
 pub fn run_campaign<T, F>(target: &str, n: usize, f: F) -> Campaign<T>
 where
-    T: Serialize + FromValue + Send + 'static,
+    T: Persist + Default + Send + 'static,
     F: Fn(usize) -> T + Send + Sync + 'static,
 {
     run_campaign_with(
@@ -410,10 +394,37 @@ mod tests {
         assert!(c.failures.is_empty(), "skipped jobs are not failures");
 
         // The one completed job survives into a later resume.
-        opts.job_only = None;
+        let rows = Checkpoint::new(&dir, "t3", 4, 10).load::<u64>().unwrap();
+        assert_eq!(rows.into_iter().collect::<Vec<_>>(), vec![(1, 3)]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Floats that a decimal round trip could lose or reject: NaN (with
+    /// payload bits), negative zero, and a subnormal.
+    #[test]
+    fn resumed_rows_revive_floats_bit_for_bit() {
+        let dir = scratch_dir("float-bits");
+        let mut opts = CampaignOptions::for_tests(&dir, 10);
+        let odd = [
+            f64::from_bits(0x7FF8_0000_DEAD_BEEF),
+            -0.0,
+            f64::from_bits(1),
+        ];
+        let first: Campaign<Vec<f64>> =
+            run_campaign_with("t4", 3, &opts, move |i| vec![odd[i], odd[(i + 1) % 3]]);
+        assert!(first.is_complete());
+
         opts.resume = true;
-        let ck = Checkpoint::resume(&dir, "t3", 4, 10).unwrap();
-        assert_eq!(ck.completed().collect::<Vec<_>>(), vec![1]);
+        let revived: Campaign<Vec<f64>> = run_campaign_with("t4", 3, &opts, |_| {
+            unreachable!("every job is checkpointed")
+        });
+        let bits = |c: Campaign<Vec<f64>>| -> Vec<Vec<u64>> {
+            c.into_rows_or_exit()
+                .iter()
+                .map(|r| r.iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(bits(revived), bits(first));
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -1,53 +1,55 @@
 //! Per-target incremental result checkpoints.
 //!
-//! A campaign persists every finished job's row into
-//! `results/.ckpt/<target>.jsonl` as it completes, so a killed or
-//! partially failed run can resume with `--resume`, skipping completed
-//! jobs. The file layout is line-oriented JSON:
+//! A campaign persists every finished job's row as it completes, one
+//! file per job, so a killed or partially failed run can resume with
+//! `--resume`, skipping completed jobs:
 //!
 //! ```text
-//! {"itesp_checkpoint":1,"target":"fig08","jobs":31,"ops":20000}
-//! {"job":0,"row":{"benchmark":"gcc", ... }}
-//! {"job":3,"row":{"benchmark":"mcf", ... }}
+//! results/.ckpt/fig08/0.row
+//! results/.ckpt/fig08/3.row
 //! ```
 //!
-//! The header line fingerprints the run shape; resuming against a
-//! checkpoint written with different `jobs`/`ops` is refused (the rows
-//! would be silently wrong). Rows are stored as the job's **compact
-//! serialization**, the same bytes a fresh run would produce — the
-//! vendored serializer's `Display`-based float formatting makes the
-//! parse → re-serialize round trip byte-exact, which is what lets a
-//! resumed run emit output byte-identical to an uninterrupted one.
+//! Each file is the [`itesp_snap`] encoding of a `CKPT` section: the
+//! run shape (target, job count, ops), the job index, and the row's own
+//! [`Persist`] bytes. Floats are stored as their bit patterns, so a
+//! revived row is bit-identical to the one the job returned, and a
+//! resumed run's output is byte-identical to an uninterrupted one.
 //!
-//! Every update rewrites the whole file with
-//! [`itesp_snap::write_atomic`] (temp file, fsync, rename, directory
-//! fsync), so a SIGKILL at any instant leaves either the previous or
-//! the new complete checkpoint, never a truncated one. Job counts per target are tens, not millions; the
-//! rewrite is cheap.
+//! Resuming refuses a row file that does not decode or that was
+//! written by a different run shape (its rows would be silently
+//! wrong); the refusal names the file and advises a run without
+//! `--resume`. Files not named `*.row` are ignored: they are temp
+//! files of a write that a kill cut short.
+//!
+//! Each row is written with [`itesp_snap::write_atomic`] (temp file,
+//! fsync, rename, directory fsync), so a SIGKILL at any instant leaves
+//! every row file either absent or complete.
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Bumped when the file layout changes; mismatched checkpoints are
-/// refused on resume.
-pub const CHECKPOINT_VERSION: u64 = 1;
+use itesp_snap::Persist;
 
-/// The run-shape fingerprint in the header line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Fingerprint {
+/// One row file: the run shape it belongs to, and one job's row.
+#[derive(Debug, Default, Persist)]
+#[persist(section = "CKPT", version = 1)]
+struct RowFile {
     target: String,
     jobs: usize,
     ops: usize,
+    job: usize,
+    /// The job's row, `itesp_snap::encode`d.
+    row: Vec<u8>,
 }
 
-/// An on-disk checkpoint for one figure target (or sub-sweep).
+/// The on-disk checkpoint of one campaign target (or sub-sweep).
 #[derive(Debug)]
 pub struct Checkpoint {
-    path: PathBuf,
-    fp: Fingerprint,
-    /// Completed rows: job index → compact JSON.
-    rows: BTreeMap<usize, String>,
+    dir: PathBuf,
+    target: String,
+    jobs: usize,
+    ops: usize,
 }
 
 /// The checkpoint directory under `results_dir`.
@@ -56,181 +58,106 @@ pub fn ckpt_dir(results_dir: &Path) -> PathBuf {
 }
 
 impl Checkpoint {
-    /// Where `target`'s checkpoint lives under `results_dir`.
-    pub fn path_for(results_dir: &Path, target: &str) -> PathBuf {
-        ckpt_dir(results_dir).join(format!("{target}.jsonl"))
-    }
-
-    /// Start a fresh checkpoint, discarding any stale file for this
-    /// target.
-    pub fn fresh(results_dir: &Path, target: &str, jobs: usize, ops: usize) -> Self {
-        let path = Self::path_for(results_dir, target);
-        let _ = fs::remove_file(&path);
+    /// The checkpoint of `target`'s `jobs`-job, `ops`-op campaign under
+    /// `results_dir`. Nothing is read or written yet.
+    pub fn new(results_dir: &Path, target: &str, jobs: usize, ops: usize) -> Self {
         Checkpoint {
-            path,
-            fp: Fingerprint {
-                target: target.to_owned(),
-                jobs,
-                ops,
-            },
-            rows: BTreeMap::new(),
-        }
-    }
-
-    /// Load an existing checkpoint to resume from. A missing file is a
-    /// fresh start; corrupt **data** lines are dropped (those jobs just
-    /// recompute); a header that fingerprints a different run shape is
-    /// an error — resuming would merge rows from a different campaign.
-    ///
-    /// # Errors
-    /// A human-readable description of the fingerprint mismatch or
-    /// unreadable header, with the advice to rerun without `--resume`.
-    pub fn resume(
-        results_dir: &Path,
-        target: &str,
-        jobs: usize,
-        ops: usize,
-    ) -> Result<Self, String> {
-        let path = Self::path_for(results_dir, target);
-        let fp = Fingerprint {
+            dir: Self::dir_for(results_dir, target),
             target: target.to_owned(),
             jobs,
             ops,
-        };
-        let Ok(contents) = fs::read_to_string(&path) else {
-            return Ok(Checkpoint {
-                path,
-                fp,
-                rows: BTreeMap::new(),
-            });
-        };
-        let mut lines = contents.lines();
-        let header = lines.next().unwrap_or("");
-        let on_disk = parse_header(header).ok_or_else(|| {
-            format!(
-                "checkpoint {} has an unreadable header; \
-                 rerun without --resume to start over",
-                path.display()
-            )
-        })?;
-        if on_disk != fp {
-            return Err(format!(
-                "checkpoint {} was written by a different run \
-                 (target {:?}, {} jobs, {} ops; this run: target {:?}, {} jobs, {} ops); \
-                 rerun without --resume to start over",
-                path.display(),
-                on_disk.target,
-                on_disk.jobs,
-                on_disk.ops,
-                fp.target,
-                fp.jobs,
-                fp.ops,
-            ));
         }
+    }
+
+    /// Where `target`'s row files live under `results_dir`.
+    pub fn dir_for(results_dir: &Path, target: &str) -> PathBuf {
+        ckpt_dir(results_dir).join(target)
+    }
+
+    /// The row file of `job`.
+    fn row_path(&self, job: usize) -> PathBuf {
+        self.dir.join(format!("{job}.row"))
+    }
+
+    /// Delete every stored row, for a fresh start.
+    pub fn clear(&self) {
+        let _ = fs::remove_dir_all(&self.dir);
+    }
+
+    /// The rows already completed, by job index. A missing directory is
+    /// a fresh start.
+    ///
+    /// # Errors
+    /// A row file that cannot be read, does not decode (as a row file,
+    /// or its row as `T`), or was written by a different run shape,
+    /// named with the advice to rerun without `--resume`.
+    pub fn load<T: Persist + Default>(&self) -> Result<BTreeMap<usize, T>, String> {
         let mut rows = BTreeMap::new();
-        for line in lines {
-            if let Some((job, row)) = parse_data_line(line) {
-                if job < jobs {
-                    rows.insert(job, row);
-                }
+        let Ok(entries) = fs::read_dir(&self.dir) else {
+            return Ok(rows);
+        };
+        for entry in entries {
+            let path = entry.map_err(|e| refusal(&self.dir, &e))?.path();
+            if path.extension().is_none_or(|ext| ext != "row") {
+                continue;
             }
-        }
-        Ok(Checkpoint { path, fp, rows })
-    }
-
-    /// Job indices already completed.
-    pub fn completed(&self) -> impl Iterator<Item = usize> + '_ {
-        self.rows.keys().copied()
-    }
-
-    /// How many jobs are already completed.
-    pub fn completed_count(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// The compact JSON row recorded for `job`, if any.
-    pub fn row(&self, job: usize) -> Option<&str> {
-        self.rows.get(&job).map(String::as_str)
-    }
-
-    /// Drop a cached row (used when a stored row no longer parses as
-    /// the expected type — the job is simply recomputed).
-    pub fn forget(&mut self, job: usize) {
-        self.rows.remove(&job);
-    }
-
-    /// The job indices in `0..jobs` that still need to run.
-    pub fn pending(&self) -> Vec<usize> {
-        (0..self.fp.jobs)
-            .filter(|j| !self.rows.contains_key(j))
-            .collect()
-    }
-
-    /// Record a completed job's compact JSON row and persist the whole
-    /// checkpoint atomically. Persistence failures are reported to
-    /// stderr but do not fail the run — the checkpoint is an
-    /// optimization, the campaign result is still held in memory.
-    pub fn record(&mut self, job: usize, compact_row: String) {
-        self.rows.insert(job, compact_row);
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"itesp_checkpoint\":{CHECKPOINT_VERSION},\"target\":{},\"jobs\":{},\"ops\":{}}}\n",
+            let bytes = fs::read(&path).map_err(|e| refusal(&path, &e))?;
+            let mut file = RowFile::default();
+            itesp_snap::decode_into(&bytes, &mut file).map_err(|e| refusal(&path, &e))?;
+            if (file.target.as_str(), file.jobs, file.ops)
+                != (self.target.as_str(), self.jobs, self.ops)
+                || file.job >= self.jobs
             {
-                let mut s = String::new();
-                serde::Serialize::json(&self.fp.target, &mut s);
-                s
-            },
-            self.fp.jobs,
-            self.fp.ops,
-        ));
-        for (job, row) in &self.rows {
-            out.push_str(&format!("{{\"job\":{job},\"row\":{row}}}\n"));
+                return Err(format!(
+                    "checkpoint {} was written by a different run \
+                     (target {:?}, {} jobs, {} ops, job {}; this run: target {:?}, {} jobs, {} ops); \
+                     rerun without --resume to start over",
+                    path.display(),
+                    file.target,
+                    file.jobs,
+                    file.ops,
+                    file.job,
+                    self.target,
+                    self.jobs,
+                    self.ops,
+                ));
+            }
+            let mut row = T::default();
+            itesp_snap::decode_into(&file.row, &mut row).map_err(|e| refusal(&path, &e))?;
+            rows.insert(file.job, row);
         }
-        if let Some(dir) = self.path.parent() {
-            let _ = fs::create_dir_all(dir);
-        }
-        if let Err(e) = itesp_snap::write_atomic(&self.path, out.as_bytes()) {
+        Ok(rows)
+    }
+
+    /// Durably store `job`'s row. A failure is reported to stderr but
+    /// does not fail the run: the checkpoint is an optimization, the
+    /// campaign result is still held in memory.
+    pub fn record<T: Persist>(&self, job: usize, row: &T) {
+        let file = RowFile {
+            target: self.target.clone(),
+            jobs: self.jobs,
+            ops: self.ops,
+            job,
+            row: itesp_snap::encode(row),
+        };
+        let path = self.row_path(job);
+        let written = fs::create_dir_all(&self.dir)
+            .and_then(|()| itesp_snap::write_atomic(&path, &itesp_snap::encode(&file)));
+        if let Err(e) = written {
             eprintln!(
                 "[warning: could not persist checkpoint {}: {e}]",
-                self.path.display()
+                path.display()
             );
         }
     }
-
-    /// Delete the checkpoint file (called after the final results are
-    /// durably saved — the checkpoint has served its purpose).
-    pub fn discard(&self) {
-        let _ = fs::remove_file(&self.path);
-    }
 }
 
-/// Parse the header line into its fingerprint.
-fn parse_header(line: &str) -> Option<Fingerprint> {
-    let v = serde_json::from_str(line).ok()?;
-    if v.field("itesp_checkpoint").ok()?.as_u64().ok()? != CHECKPOINT_VERSION {
-        return None;
-    }
-    Some(Fingerprint {
-        target: v.field("target").ok()?.as_str().ok()?.to_owned(),
-        jobs: usize::try_from(v.field("jobs").ok()?.as_u64().ok()?).ok()?,
-        ops: usize::try_from(v.field("ops").ok()?.as_u64().ok()?).ok()?,
-    })
-}
-
-/// Parse a `{"job":N,"row":...}` data line, returning the row's **raw
-/// text** (not a re-serialization) so stored bytes pass through
-/// untouched. Returns `None` for corrupt lines (e.g. a torn write from
-/// a pre-atomic-rename version of this file).
-fn parse_data_line(line: &str) -> Option<(usize, String)> {
-    let rest = line.strip_prefix("{\"job\":")?;
-    let comma = rest.find(',')?;
-    let job: usize = rest[..comma].parse().ok()?;
-    let row = rest[comma + 1..]
-        .strip_prefix("\"row\":")?
-        .strip_suffix('}')?;
-    // Only keep rows that are themselves valid JSON.
-    serde_json::from_str(row).ok()?;
-    Some((job, row.to_owned()))
+/// Why a row file at `path` cannot be resumed from.
+fn refusal(path: &Path, e: &dyn std::fmt::Display) -> String {
+    format!(
+        "checkpoint {} is unreadable ({e}); rerun without --resume to start over",
+        path.display()
+    )
 }
 
 #[cfg(test)]
@@ -251,70 +178,71 @@ mod tests {
     #[test]
     fn record_then_resume_round_trips_rows() {
         let dir = scratch_dir("roundtrip");
-        let mut ck = Checkpoint::fresh(&dir, "figX", 4, 100);
-        ck.record(2, "{\"v\":2.5}".to_owned());
-        ck.record(0, "{\"v\":0.1}".to_owned());
+        let ck = Checkpoint::new(&dir, "figX", 4, 100);
+        ck.record(2, &(2.5f64, 7u64));
+        ck.record(0, &(0.1f64, 3u64));
 
-        let resumed = Checkpoint::resume(&dir, "figX", 4, 100).unwrap();
-        assert_eq!(resumed.completed().collect::<Vec<_>>(), vec![0, 2]);
-        assert_eq!(resumed.row(2), Some("{\"v\":2.5}"));
-        assert_eq!(resumed.pending(), vec![1, 3]);
+        let rows = Checkpoint::new(&dir, "figX", 4, 100)
+            .load::<(f64, u64)>()
+            .unwrap();
+        assert_eq!(
+            rows.into_iter().collect::<Vec<_>>(),
+            vec![(0, (0.1, 3)), (2, (2.5, 7))]
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn resume_without_file_is_fresh() {
         let dir = scratch_dir("nofile");
-        let ck = Checkpoint::resume(&dir, "figY", 3, 50).unwrap();
-        assert_eq!(ck.completed_count(), 0);
-        assert_eq!(ck.pending(), vec![0, 1, 2]);
+        let rows = Checkpoint::new(&dir, "figY", 3, 50).load::<u64>().unwrap();
+        assert!(rows.is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn mismatched_fingerprint_is_refused() {
         let dir = scratch_dir("mismatch");
-        let mut ck = Checkpoint::fresh(&dir, "figZ", 4, 100);
-        ck.record(0, "1".to_owned());
-        let err = Checkpoint::resume(&dir, "figZ", 4, 200).unwrap_err();
+        Checkpoint::new(&dir, "figZ", 4, 100).record(0, &1u64);
+        let err = Checkpoint::new(&dir, "figZ", 4, 200)
+            .load::<u64>()
+            .unwrap_err();
         assert!(err.contains("different run"), "{err}");
         assert!(err.contains("--resume"), "{err}");
         // Same shape resumes fine.
-        assert!(Checkpoint::resume(&dir, "figZ", 4, 100).is_ok());
+        assert!(Checkpoint::new(&dir, "figZ", 4, 100).load::<u64>().is_ok());
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn corrupt_data_lines_recompute() {
-        let dir = scratch_dir("corrupt");
-        let mut ck = Checkpoint::fresh(&dir, "figW", 3, 10);
-        ck.record(0, "{\"v\":1}".to_owned());
-        ck.record(1, "{\"v\":2}".to_owned());
-        // Tear the last line, as a torn non-atomic write would.
-        let path = Checkpoint::path_for(&dir, "figW");
-        let contents = fs::read_to_string(&path).unwrap();
-        fs::write(&path, &contents[..contents.len() - 5]).unwrap();
+    fn truncated_row_file_is_refused_by_name() {
+        let dir = scratch_dir("truncated");
+        let ck = Checkpoint::new(&dir, "figW", 3, 10);
+        ck.record(0, &1u64);
+        ck.record(1, &2u64);
+        let path = ck.row_path(1);
+        let bytes = fs::read(&path).unwrap();
+        fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
 
-        let resumed = Checkpoint::resume(&dir, "figW", 3, 10).unwrap();
-        assert_eq!(resumed.completed().collect::<Vec<_>>(), vec![0]);
-        assert_eq!(resumed.pending(), vec![1, 2]);
+        let err = ck.load::<u64>().unwrap_err();
+        assert!(err.contains(&path.display().to_string()), "{err}");
+        assert!(err.contains("--resume"), "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn fresh_discards_stale_checkpoint() {
         let dir = scratch_dir("stale");
-        let mut ck = Checkpoint::fresh(&dir, "figV", 2, 10);
-        ck.record(0, "1".to_owned());
-        let ck2 = Checkpoint::fresh(&dir, "figV", 2, 10);
-        assert_eq!(ck2.completed_count(), 0);
-        assert_eq!(
-            Checkpoint::resume(&dir, "figV", 2, 10)
-                .unwrap()
-                .completed_count(),
-            0,
-            "fresh() must remove the old file"
-        );
+        let ck = Checkpoint::new(&dir, "figV", 2, 10);
+        ck.record(0, &1u64);
+        fs::write(
+            Checkpoint::dir_for(&dir, "figV").join("1.row.tmp.7"),
+            b"torn",
+        )
+        .unwrap();
+        assert_eq!(ck.load::<u64>().unwrap().len(), 1);
+        ck.clear();
+        assert!(ck.load::<u64>().unwrap().is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -354,8 +354,9 @@ pub fn save_json<T: Serialize>(name: &str, value: &T) {
     }
 }
 
-/// Remove checkpoint files belonging to `name` (exactly, or any
-/// `name.<sub>` campaign) once the final results are durably saved.
+/// Remove the checkpoints belonging to `name` once the final results
+/// are durably saved: its row directory, its failure manifest, and
+/// those of any `name.<sub>` campaign.
 fn clear_checkpoints(results_dir: &Path, name: &str) {
     let Ok(entries) = fs::read_dir(checkpoint::ckpt_dir(results_dir)) else {
         return;
@@ -367,9 +368,14 @@ fn clear_checkpoints(results_dir: &Path, name: &str) {
         };
         let owned_by_target = file_name
             .strip_prefix(name)
-            .is_some_and(|rest| rest.starts_with('.'));
+            .is_some_and(|rest| rest.is_empty() || rest.starts_with('.'));
         if owned_by_target {
-            let _ = fs::remove_file(entry.path());
+            let path = entry.path();
+            let _ = if path.is_dir() {
+                fs::remove_dir_all(&path)
+            } else {
+                fs::remove_file(&path)
+            };
         }
     }
 }

@@ -9,8 +9,8 @@
 //! The set is filled through [`run_campaign_with`], one job per trace
 //! (benchmark, program copies): a job builds its `MultiProgram` once
 //! and runs each distinct parameter set of that trace in first-request
-//! order. Job rows are whole [`RunResult`]s, which round-trip
-//! byte-exactly through the checkpoint, so `--resume`, `--timeout`
+//! order. Job rows are whole [`RunResult`]s, checkpointed as their
+//! `Persist` bytes and revived bit for bit, so `--resume`, `--timeout`
 //! and panic isolation behave as for any campaign. The set itself
 //! lives in memory only.
 

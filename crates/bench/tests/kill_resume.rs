@@ -54,10 +54,10 @@ fn sigkill_mid_run_then_resume_is_byte_identical() {
     let clean = clean_run_bytes(&clean_dir);
 
     // Start a serial run and SIGKILL it once at least two jobs have
-    // been checkpointed (poll the checkpoint, not the clock, so slow
+    // been checkpointed (poll the row files, not the clock, so slow
     // machines don't race).
     let dir = scratch_dir("sigkill");
-    let ckpt = dir.join(".ckpt").join("fig08.jsonl");
+    let ckpt = dir.join(".ckpt").join("fig08");
     let mut child = fig08(&dir)
         .arg(OPS)
         .env("ITESP_JOBS", "1")
@@ -67,9 +67,11 @@ fn sigkill_mid_run_then_resume_is_byte_identical() {
         .expect("spawn fig08");
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
-        let checkpointed = std::fs::read_to_string(&ckpt)
-            .map(|s| s.lines().count().saturating_sub(1))
-            .unwrap_or(0);
+        let checkpointed = std::fs::read_dir(&ckpt).map_or(0, |rows| {
+            rows.flatten()
+                .filter(|row| row.path().extension().is_some_and(|ext| ext == "row"))
+                .count()
+        });
         if checkpointed >= 2 {
             break;
         }

@@ -11,8 +11,7 @@
 //! interact through cache state (the leakage path of Section III-B).
 
 use itesp_snap::{Persist, SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
-use serde_json::FromValue;
+use serde::Serialize;
 
 /// Outcome of a cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,7 +31,7 @@ struct Line {
 }
 
 /// Aggregate statistics for one cache (or one partition).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize, FromValue, Persist)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Persist)]
 pub struct CacheStats {
     pub accesses: u64,
     pub hits: u64,

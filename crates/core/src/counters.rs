@@ -12,14 +12,14 @@
 use std::collections::HashMap;
 
 use itesp_snap::Persist;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Overflow penalty for a 128-arity node, in CPU cycles (Section IV).
 pub const OVERFLOW_PENALTY_128: u64 = 4096;
 
 /// Tracks per-block write counts relative to each leaf node's last
 /// re-encryption ("rebase"), and reports local-counter overflows.
-#[derive(Debug, Clone, Serialize, Deserialize, Persist)]
+#[derive(Debug, Clone, Serialize, Persist)]
 #[persist(section = "OVFL", version = 2)]
 pub struct OverflowTracker {
     /// Writes before a local counter of this width overflows.

@@ -21,8 +21,7 @@
 //! paper's premise (Section I).
 
 use itesp_snap::{Persist, SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
-use serde_json::FromValue;
+use serde::Serialize;
 
 use crate::cache::CacheStats;
 use crate::error::EngineConfigError;
@@ -32,7 +31,7 @@ use crate::tree::TreeGeometry;
 
 /// Which metadata structure a transaction belongs to (Figure 9's
 /// breakdown categories).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum MetaKind {
     Mac,
     Tree,
@@ -60,7 +59,7 @@ impl MetaKind {
 }
 
 /// One extra memory transaction required by the security metadata.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct MetaAccess {
     pub addr: u64,
     pub is_write: bool,
@@ -72,7 +71,7 @@ pub struct MetaAccess {
 /// legend): A = everything hit; B = MAC only; C = leaf counter only;
 /// D = MAC + leaf; E = leaf + parent; F = MAC + leaf + parent;
 /// G = leaf + two-or-more ancestors; H = MAC + leaf + two-or-more.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum MissCase {
     A,
     B,
@@ -142,7 +141,7 @@ pub struct AccessOutcome {
 }
 
 /// Engine configuration, independent of the DRAM model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct EngineConfig {
     pub scheme: Scheme,
     /// Co-scheduled enclaves (programs).
@@ -297,7 +296,7 @@ impl EngineConfig {
 }
 
 /// Traffic and classification statistics for one run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize, FromValue, Persist)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Persist)]
 pub struct EngineStats {
     pub data_reads: u64,
     pub data_writes: u64,

@@ -8,10 +8,10 @@
 //! run real trial-correction loops (Section II-C) where candidate blocks
 //! are accepted only when their MAC matches.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A 128-bit MAC key.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct MacKey {
     pub k0: u64,
     pub k1: u64,

@@ -6,12 +6,12 @@
 //! so its MAC/parity column is only the correction parity; ITESP's is
 //! zero because the parity lives inside the tree.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::tree::TreeGeometry;
 
 /// One Table I row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct OverheadRow {
     pub organization: String,
     /// Integrity-tree storage / data storage.

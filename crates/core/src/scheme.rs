@@ -28,12 +28,12 @@
 //! Each scheme is executed by one of three [`ModelFamily`] traffic
 //! models behind the `SchemeModel` trait (see [`crate::model`]).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::tree::TreeGeometry;
 
 /// How error-correction parity is organized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum ParityMode {
     /// No separate parity structure (baseline ECC lives in the 9th chip,
     /// transferred inline with data).
@@ -49,7 +49,7 @@ pub enum ParityMode {
 }
 
 /// Which counter-tree family a scheme uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum TreeKind {
     /// No integrity protection (non-secure baseline).
     None,
@@ -80,7 +80,7 @@ impl TreeKind {
 }
 
 /// Mechanical description of a secure-memory design.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct SchemeSpec {
     pub tree: TreeKind,
     /// Per-enclave trees and metadata-cache partitions (Section III-A).
@@ -94,7 +94,7 @@ pub struct SchemeSpec {
 }
 
 /// Every evaluated design point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Scheme {
     /// Non-secure baseline: plain ECC DIMM.
     Unsecure,
@@ -133,7 +133,7 @@ pub enum Scheme {
 
 /// Which traffic model executes a scheme (the `SchemeModel`
 /// implementations in [`crate::model`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum ModelFamily {
     /// Counter-tree walk per access (every scheme of the paper's own
     /// lineage, including the treeless `Unsecure` degenerate case).
@@ -147,7 +147,7 @@ pub enum ModelFamily {
 
 /// What an off-chip observer learns — the x-axis classes of the
 /// `figpareto` sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum LeakageClass {
     /// Shared metadata structures: cross-program cache occupancy and
     /// tree-walk timing leak between tenants (VAULT/Synergy family).

@@ -17,20 +17,20 @@
 //! * **ITESP 64** — leaf arity 64 (5-bit locals + parities), 128 above;
 //! * **ITESP 128** — arity 128 throughout (2-bit locals + parities).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Bytes per tree node (one cache block).
 pub const NODE_BYTES: u64 = 64;
 
 /// A node position: level 0 is the leaf level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct NodeId {
     pub level: u32,
     pub index: u64,
 }
 
 /// Shape of an integrity tree over a fixed span of data blocks.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct TreeGeometry {
     /// Data blocks covered by one leaf node.
     leaf_arity: u64,

@@ -21,12 +21,12 @@
 //!   ITESP holds 4 shared parities, so these 4 blocks also share a leaf.
 
 use itesp_snap::Persist;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::config::{DramGeometry, BLOCK_SHIFT};
 
 /// How physical addresses map onto DRAM coordinates. See module docs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum AddressMapping {
     /// Consecutive blocks in one row buffer (baseline Synergy's best).
     Column,
@@ -59,7 +59,7 @@ impl AddressMapping {
 }
 
 /// A physical address decoded into DRAM coordinates.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize, Persist)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Persist)]
 pub struct DecodedAddr {
     pub channel: u32,
     pub rank: u32,

@@ -1,8 +1,7 @@
 //! Request and command types exchanged with the memory controller.
 
 use itesp_snap::Persist;
-use serde::{Deserialize, Serialize};
-use serde_json::FromValue;
+use serde::Serialize;
 
 use crate::address::DecodedAddr;
 
@@ -10,7 +9,7 @@ use crate::address::DecodedAddr;
 pub type RequestId = u64;
 
 /// A DRAM command, as issued on the command bus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Command {
     Activate,
     Read,
@@ -61,7 +60,7 @@ impl Request {
 /// One command issued on the command bus, as recorded by the optional
 /// per-channel command log (used by the scheduler-equivalence tests and
 /// available for debugging).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct IssuedCommand {
     /// DRAM cycle the command issued.
     pub cycle: u64,
@@ -95,9 +94,7 @@ impl Completion {
 
 /// Aggregate event counts for one channel, consumed by the power model
 /// and the figure regenerators.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize, FromValue, Persist,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Persist)]
 pub struct ChannelStats {
     pub reads: u64,
     pub writes: u64,

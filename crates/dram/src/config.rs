@@ -4,7 +4,7 @@
 //! 64 GB on one channel organized as 16 ranks of 8 banks each, with the
 //! timing constraints listed there (in DRAM cycles at 800 MHz).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::address::AddressMapping;
 
@@ -64,7 +64,7 @@ impl std::error::Error for ConfigError {}
 ///
 /// The derived bit-widths (rank/bank/row/column) are used by the address
 /// mapping policies in [`crate::address`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct DramGeometry {
     /// Independent memory channels, each with its own command/data bus.
     pub channels: u32,
@@ -188,7 +188,7 @@ fn log2_exact(v: u32) -> u32 {
 /// DDR3 timing constraints, in DRAM (bus-clock) cycles.
 ///
 /// Field names follow the JEDEC parameters quoted in Table III.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct DramTiming {
     /// ACT-to-ACT, same bank (row cycle time).
     pub t_rc: u64,
@@ -267,7 +267,7 @@ impl DramTiming {
 /// (IDD0/IDD4R/IDD4W/IDD2P/IDD5) for a 2 Gb DDR3-1600 part; what matters
 /// for the paper's Figure 10 trends is the activate/read/write/background
 /// decomposition, not absolute calibration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PowerParams {
     /// Energy of one ACT+PRE pair, per rank (pJ).
     pub act_pre_energy_pj: f64,
@@ -298,7 +298,7 @@ impl PowerParams {
 }
 
 /// Read/write queue sizing and scheduler thresholds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct QueueConfig {
     /// Read queue capacity per channel (Table III: 48).
     pub read_queue: usize,
@@ -322,7 +322,7 @@ impl Default for QueueConfig {
 }
 
 /// Complete memory-system configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DramConfig {
     pub geometry: DramGeometry,
     pub timing: DramTiming,

@@ -5,14 +5,14 @@
 //! write burst energy, refresh energy, and per-rank background power.
 //! Used to reproduce the memory-energy and EDP trends of Figure 10/12/13.
 
-use serde::{Deserialize, Serialize};
-use serde_json::FromValue;
+use itesp_snap::Persist;
+use serde::Serialize;
 
 use crate::command::ChannelStats;
 use crate::config::{DramConfig, PowerParams};
 
 /// Energy breakdown for one simulation run, in nanojoules.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize, FromValue)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Persist)]
 pub struct EnergyBreakdown {
     pub activate_nj: f64,
     pub read_nj: f64,

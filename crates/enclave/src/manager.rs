@@ -13,8 +13,7 @@ use std::collections::BTreeMap;
 
 use itesp_core::{siphash24, MacKey, MetaAccess, SecurityEngine};
 use itesp_snap::{Persist, SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
-use serde_json::FromValue;
+use serde::Serialize;
 
 use crate::alloc::{LeafAllocator, LeafGrant};
 
@@ -132,9 +131,7 @@ impl Enclave {
 
 /// Lifecycle event counts and the metadata traffic each phase charged,
 /// accumulated across the manager's lifetime.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize, FromValue, Persist,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Persist)]
 pub struct LifecycleStats {
     pub created: u64,
     pub destroyed: u64,

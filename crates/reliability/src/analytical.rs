@@ -5,10 +5,10 @@
 //! 9-device ranks, and a 1-hour scrub window bounding the chance of
 //! concurrent independent errors.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Parameters of the analytical model (Table II defaults).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ReliabilityParams {
     /// Failures in time (per 1e9 device-hours) per DRAM device.
     pub device_fit: f64,
@@ -36,7 +36,7 @@ impl Default for ReliabilityParams {
 }
 
 /// Which design's sharing domain applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Design {
     /// Parity per rank: double errors matter only within a rank.
     Synergy,
@@ -46,7 +46,7 @@ pub enum Design {
 }
 
 /// All four Table II rates for one design, per billion hours.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TableIiRates {
     /// Case 1: SDC — corrupted block with matching MAC during detection.
     pub case1_sdc: f64,

@@ -16,7 +16,7 @@
 //! column parities out of the shared word, which is only valid if they
 //! are error-free — the reliability trade-off quantified in Table II.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use itesp_core::mac::{mac_block, MacKey};
 
@@ -42,7 +42,7 @@ pub fn shared_parity<'a>(words: impl IntoIterator<Item = &'a CodeWord>) -> u64 {
 }
 
 /// Outcome of a correction attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Correction {
     /// No error was present (MAC matched as read).
     Clean,

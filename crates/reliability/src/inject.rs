@@ -13,7 +13,7 @@
 use itesp_snap::Persist;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Environment variable pinning every fault-campaign RNG to one seed —
 /// the same knob the oracle's `with_seeds` replay machinery honors.
@@ -88,7 +88,7 @@ impl CodeWord {
 }
 
 /// A hardware fault to inject.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Persist)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Persist)]
 pub enum Fault {
     /// Single bit flip: chip, beat, pin.
     Bit { chip: u8, beat: u8, pin: u8 },

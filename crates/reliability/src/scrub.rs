@@ -14,11 +14,11 @@
 //! the measured analogue of the vulnerability window Table II bounds.
 
 use itesp_snap::Persist;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Scrubber configuration and bookkeeping. The snapshot carries the
 /// window parameters plus the simulated-gap bookkeeping.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Persist)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Persist)]
 #[persist(section = "SCRB", version = 1)]
 pub struct Scrubber {
     /// Periodic scrub interval, seconds.

@@ -94,8 +94,8 @@ pub(crate) fn config_from(
 }
 
 /// Run the daemon configured from the process environment. Exits 0
-/// after a drain, 1 on a fatal listener error, and 2 on a bad variable
-/// or a failed start.
+/// after a drain, 1 on a fatal listener or snapshot error, and 2 on a
+/// bad variable or a failed start.
 pub fn main() -> ! {
     let env = |name: &str| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
     let cfg = config_from(env).unwrap_or_else(|e| {

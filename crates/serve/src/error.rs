@@ -10,6 +10,7 @@
 use std::fmt;
 use std::io;
 
+use itesp_snap::{RestoreError, StoreError};
 use itesp_trace::TraceError;
 
 /// Why a request could not be served.
@@ -51,6 +52,10 @@ pub enum ServeError {
     Engine(String),
     /// The peer idled past the read deadline (slow-loris defense).
     SlowPeer,
+    /// The daemon's durable state failed: the snapshot store did not
+    /// open, its recovery was refused, or a snapshot did not commit.
+    /// Fatal to the daemon, so not retryable against it.
+    Store(RestoreError),
 }
 
 impl ServeError {
@@ -74,6 +79,7 @@ impl ServeError {
             ServeError::WorkerPanicked { .. } => 15,
             ServeError::Engine(_) => 16,
             ServeError::SlowPeer => 17,
+            ServeError::Store(_) => 18,
         }
     }
 
@@ -130,6 +136,7 @@ impl fmt::Display for ServeError {
             }
             ServeError::Engine(e) => write!(f, "engine rejected request: {e}"),
             ServeError::SlowPeer => write!(f, "peer too slow: read deadline exceeded"),
+            ServeError::Store(e) => write!(f, "durable state: {e}"),
         }
     }
 }
@@ -139,6 +146,7 @@ impl std::error::Error for ServeError {
         match self {
             ServeError::Io(e) => Some(e),
             ServeError::Trace(e) => Some(e),
+            ServeError::Store(e) => Some(e),
             _ => None,
         }
     }
@@ -162,6 +170,18 @@ impl From<io::Error> for ServeError {
 impl From<TraceError> for ServeError {
     fn from(e: TraceError) -> Self {
         ServeError::Trace(e)
+    }
+}
+
+impl From<RestoreError> for ServeError {
+    fn from(e: RestoreError) -> Self {
+        ServeError::Store(e)
+    }
+}
+
+impl From<StoreError> for ServeError {
+    fn from(e: StoreError) -> Self {
+        ServeError::Store(RestoreError::Store(e))
     }
 }
 
@@ -194,6 +214,9 @@ mod tests {
             },
             ServeError::Engine("e".into()),
             ServeError::SlowPeer,
+            ServeError::Store(RestoreError::Store(StoreError::NoSnapshot {
+                dir: "snaps".into(),
+            })),
         ];
         let mut codes: Vec<u16> = errs.iter().map(ServeError::code).collect();
         codes.sort_unstable();
@@ -211,6 +234,10 @@ mod tests {
         }
         .is_retryable());
         assert!(!ServeError::BadMagic(*b"ABCD").is_retryable());
+        assert!(
+            !ServeError::Store(RestoreError::Store(StoreError::Io(io::Error::other("x"))))
+                .is_retryable()
+        );
         assert!(!ServeError::UnknownScheme("x".into()).is_retryable());
         assert!(!ServeError::RecordCount {
             declared: 1,

@@ -25,9 +25,10 @@
 //! An acceptor stops when its stop flag is set and one connection
 //! arrives after it: [`Server::run`] sets the flag and connects once to
 //! the listener's own address. The main thread of `run` sleeps until
-//! `D` (the metrics handler wakes it), an acceptor's `accept` fails,
-//! or the SIGTERM latch is seen. A signal handler can only set a flag,
-//! so the latch is read on a short timer; nothing else is.
+//! `D` (the metrics handler wakes it), an acceptor's `accept` fails, a
+//! shard worker's periodic snapshot fails, or the SIGTERM latch is
+//! seen. A signal handler can only set a flag, so the latch is read on
+//! a short timer; nothing else is.
 //!
 //! ## Drain
 //!
@@ -43,6 +44,14 @@
 //! graceful drains and SIGKILL (modulo requests completed after the
 //! last snapshot, which clients simply retry — recomputation is
 //! byte-identical).
+//!
+//! A failed snapshot is fatal, wherever it happens: opening or
+//! recovering the store fails [`Server::start`], and a failed periodic
+//! or drain snapshot makes [`Server::run`] return
+//! [`ServeError::Store`]. After a failed periodic snapshot the daemon
+//! stops admitting as on `D` and lets admitted requests finish, but
+//! takes no drain snapshot, so `itesp-serve` exits nonzero instead of
+//! serving on without durability.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -56,7 +65,7 @@ use std::time::Duration;
 
 use itesp_core::Scheme;
 use itesp_orchestrate::JobOutcome;
-use itesp_snap::SnapshotStore;
+use itesp_snap::{SnapshotStore, StoreError};
 use itesp_trace::StreamDecoder;
 
 use crate::error::ServeError;
@@ -64,7 +73,7 @@ use crate::protocol::{
     self, encode_error, read_frame, write_frame, FrameKind, Hello, PROTOCOL_VERSION,
 };
 use crate::registry::Registry;
-use crate::shard::ShardPool;
+use crate::shard::{ShardPool, Snapshots};
 use crate::tenant::TenantRequest;
 
 /// Process-wide SIGTERM latch. The handler must be async-signal-safe:
@@ -97,10 +106,12 @@ const TERM_POLL: Duration = Duration::from_millis(10);
 
 /// What wakes the main thread of [`Server::run`].
 enum Wake {
-    /// The metrics `D` command.
+    /// The metrics `D` command (or SIGTERM).
     Drain,
     /// An acceptor's `accept` failed; the error comes back from its join.
     Failed,
+    /// A shard worker's periodic snapshot failed.
+    Snapshot(StoreError),
 }
 
 /// Daemon configuration.
@@ -149,6 +160,8 @@ pub struct Server {
     store: Arc<Mutex<SnapshotStore>>,
     traffic: TcpListener,
     metrics: TcpListener,
+    wake: Sender<Wake>,
+    woken: Mutex<Receiver<Wake>>,
 }
 
 impl Server {
@@ -156,9 +169,10 @@ impl Server {
     ///
     /// # Errors
     /// Fails on a zero shard count, queue depth or job timeout, on I/O
-    /// errors, and — deliberately — on a corrupt store or an
-    /// anti-rollback violation: refusing to serve from rolled-back
-    /// security state is the point.
+    /// errors, and — deliberately — with [`ServeError::Store`] on a
+    /// store that does not open, a corrupt store or an anti-rollback
+    /// violation: refusing to serve from rolled-back security state is
+    /// the point.
     pub fn start(cfg: ServerConfig) -> Result<Server, ServeError> {
         if cfg.shards == 0 || cfg.queue_depth == 0 || cfg.job_timeout.is_zero() {
             return Err(ServeError::Engine(
@@ -166,24 +180,29 @@ impl Server {
             ));
         }
         std::fs::create_dir_all(&cfg.state_dir).map_err(ServeError::Io)?;
-        let store = SnapshotStore::open(cfg.state_dir.join("snaps"))
-            .map_err(|e| ServeError::Engine(format!("snapshot store: {e}")))?;
+        let store = SnapshotStore::open(cfg.state_dir.join("snaps"))?;
         let registry = Arc::new(Registry::new());
-        match registry.recover_from(&store) {
-            Ok(Some(meta)) => {
-                eprintln!("[serve: recovered registry snapshot seq {}]", meta.seq)
-            }
-            Ok(None) => {}
-            Err(e) => return Err(ServeError::Engine(format!("recovery refused: {e}"))),
+        if let Some(meta) = registry.recover_from(&store)? {
+            eprintln!("[serve: recovered registry snapshot seq {}]", meta.seq);
         }
         let store = Arc::new(Mutex::new(store));
+        let (wake, woken) = mpsc::channel();
+        let snaps = (cfg.snap_every > 0).then(|| {
+            let wake = wake.clone();
+            Snapshots {
+                store: Arc::clone(&store),
+                every: cfg.snap_every,
+                on_failure: Arc::new(move |e| {
+                    let _ = wake.send(Wake::Snapshot(e));
+                }),
+            }
+        });
         let pool = Arc::new(ShardPool::spawn(
             cfg.shards,
             cfg.queue_depth,
             cfg.job_timeout,
             Arc::clone(&registry),
-            Some(Arc::clone(&store)),
-            cfg.snap_every,
+            snaps,
             cfg.panic_tenant,
         ));
         let traffic = TcpListener::bind("127.0.0.1:0").map_err(ServeError::Io)?;
@@ -196,6 +215,8 @@ impl Server {
             store,
             traffic,
             metrics,
+            wake,
+            woken: Mutex::new(woken),
         };
         server.publish_ports()?;
         Ok(server)
@@ -228,25 +249,26 @@ impl Server {
     /// Serve until drained. Returns once the drain snapshot is durable.
     ///
     /// # Errors
-    /// Only fatal I/O on the listeners; per-connection failures are
-    /// handled (typed error to that client) without surfacing here.
+    /// Fatal I/O on the listeners, or [`ServeError::Store`] when a
+    /// periodic or the drain snapshot fails; per-connection failures
+    /// are handled (typed error to that client) without surfacing here.
     pub fn run(self) -> Result<(), ServeError> {
         let conns = Arc::new(AtomicUsize::new(0));
         let closed = AtomicBool::new(false);
-        let (wake, woken) = mpsc::channel();
+        let woken = self.woken.lock().expect("wake receiver lock");
         thread::scope(|s| {
             let traffic = thread::Builder::new()
                 .name("itesp-serve-accept".into())
                 .spawn_scoped(s, || {
-                    accept_until(&self.traffic, &self.draining, &wake, |stream| {
+                    accept_until(&self.traffic, &self.draining, &self.wake, |stream| {
                         self.spawn_traffic(stream, &conns)
                     })
                 })?;
             let metrics = thread::Builder::new()
                 .name("itesp-serve-metrics-accept".into())
                 .spawn_scoped(s, || {
-                    accept_until(&self.metrics, &closed, &wake, |stream| {
-                        self.spawn_metrics(stream, &wake)
+                    accept_until(&self.metrics, &closed, &self.wake, |stream| {
+                        self.spawn_metrics(stream, &self.wake)
                     })
                 });
             let metrics = match metrics {
@@ -257,12 +279,20 @@ impl Server {
                 }
             };
 
-            let failed = wait_for_stop(&woken);
+            let stop = wait_for_stop(&woken);
             // Connections still open get typed `Draining` refusals for
             // new Hellos (the flag is checked per request); admitted
             // work finishes, and metrics are answered until the end.
             stop_acceptor(&self.draining, self.traffic_addr(), &traffic);
-            let drained = if failed { Ok(()) } else { self.drain(&conns) };
+            let drained = match stop {
+                Wake::Drain => self.drain(&conns),
+                Wake::Failed => Ok(()),
+                Wake::Snapshot(e) => {
+                    eprintln!("[serve: stopping — refusing new admissions]");
+                    self.settle(&conns);
+                    Err(e.into())
+                }
+            };
             stop_acceptor(&closed, self.metrics_addr(), &metrics);
             let accepted = traffic.join().expect("traffic acceptor");
             accepted.and(metrics.join().expect("metrics acceptor"))?;
@@ -270,19 +300,21 @@ impl Server {
         })
     }
 
-    /// Wait until every admitted request has finished, then commit the
-    /// drain snapshot. Reservations are released only after the
+    /// Wait until every admitted request has finished and every
+    /// connection has closed. Reservations are released only after the
     /// registry is updated, so pending == 0 means stats are final.
-    fn drain(&self, conns: &AtomicUsize) -> Result<(), ServeError> {
-        eprintln!("[serve: draining — refusing new admissions]");
+    fn settle(&self, conns: &AtomicUsize) {
         while self.pool.pending_total() > 0 || conns.load(Ordering::Acquire) > 0 {
             thread::sleep(Duration::from_millis(5));
         }
+    }
+
+    /// [`Server::settle`], then commit the drain snapshot.
+    fn drain(&self, conns: &AtomicUsize) -> Result<(), ServeError> {
+        eprintln!("[serve: draining — refusing new admissions]");
+        self.settle(conns);
         let store = self.store.lock().expect("snapshot store lock");
-        let meta = self
-            .registry
-            .snapshot_to(&store)
-            .map_err(|e| ServeError::Engine(format!("drain snapshot: {e}")))?;
+        let meta = self.registry.snapshot_to(&store)?;
         eprintln!(
             "[serve: drained — snapshot seq {} covers {} completion(s)]",
             meta.seq,
@@ -375,13 +407,13 @@ fn stop_acceptor<T>(stop: &AtomicBool, addr: SocketAddr, acceptor: &thread::Scop
     }
 }
 
-/// Block until `D`, SIGTERM or a failed acceptor; true for the last.
-fn wait_for_stop(woken: &Receiver<Wake>) -> bool {
+/// Block until `D`, SIGTERM, a failed acceptor or a failed periodic
+/// snapshot, and say which (SIGTERM as [`Wake::Drain`]).
+fn wait_for_stop(woken: &Receiver<Wake>) -> Wake {
     loop {
         match woken.recv_timeout(TERM_POLL) {
-            Ok(Wake::Drain) => return false,
-            Ok(Wake::Failed) => return true,
-            Err(_) if TERM.load(Ordering::SeqCst) => return false,
+            Ok(wake) => return wake,
+            Err(_) if TERM.load(Ordering::SeqCst) => return Wake::Drain,
             Err(_) => {}
         }
     }
@@ -641,7 +673,6 @@ mod tests {
             Duration::from_secs(5),
             Arc::clone(&registry),
             None,
-            0,
             None,
         );
         let draining = AtomicBool::new(false);

@@ -28,7 +28,7 @@ use std::thread;
 use std::time::Duration;
 
 use itesp_orchestrate::{run_policied, JobOutcome};
-use itesp_snap::SnapshotStore;
+use itesp_snap::{SnapshotStore, StoreError};
 
 use crate::registry::Registry;
 use crate::tenant::{run_tenant, TenantRequest, TenantStats};
@@ -49,6 +49,17 @@ struct Shard {
     pending: Arc<AtomicUsize>,
 }
 
+/// Periodic registry snapshots, taken by the shard workers.
+#[derive(Clone)]
+pub struct Snapshots {
+    /// The store every capture commits to.
+    pub store: Arc<Mutex<SnapshotStore>>,
+    /// Capture after every `every`-th completion.
+    pub every: u64,
+    /// Called with the error of each capture that fails.
+    pub on_failure: Arc<dyn Fn(StoreError) + Send + Sync>,
+}
+
 /// The daemon's worker pool.
 pub struct ShardPool {
     shards: Vec<Shard>,
@@ -59,8 +70,8 @@ impl ShardPool {
     /// Spawn `shards` workers, each admitting at most `queue_depth`
     /// outstanding requests and running each under a `job_timeout`
     /// deadline; both counts must be nonzero. Completions land in
-    /// `registry`; every `snap_every` completions the registry is
-    /// snapshotted to `store` (when present). Requests from
+    /// `registry`, which is snapshotted as `snaps` says (when present).
+    /// Requests from
     /// `panic_tenant` panic in the worker instead of running (the chaos
     /// drill's injected fault).
     pub fn spawn(
@@ -68,8 +79,7 @@ impl ShardPool {
         queue_depth: usize,
         job_timeout: Duration,
         registry: Arc<Registry>,
-        store: Option<Arc<Mutex<SnapshotStore>>>,
-        snap_every: u64,
+        snaps: Option<Snapshots>,
         panic_tenant: Option<u64>,
     ) -> Self {
         let built = (0..shards)
@@ -78,7 +88,7 @@ impl ShardPool {
                 let pending = Arc::new(AtomicUsize::new(0));
                 let worker_pending = Arc::clone(&pending);
                 let registry = Arc::clone(&registry);
-                let store = store.clone();
+                let snaps = snaps.clone();
                 thread::Builder::new()
                     .name(format!("itesp-shard-{i}"))
                     .spawn(move || {
@@ -86,8 +96,7 @@ impl ShardPool {
                             rx,
                             job_timeout,
                             registry,
-                            store,
-                            snap_every,
+                            snaps,
                             panic_tenant,
                             worker_pending,
                         )
@@ -204,8 +213,7 @@ fn worker_loop(
     rx: mpsc::Receiver<Job>,
     job_timeout: Duration,
     registry: Arc<Registry>,
-    store: Option<Arc<Mutex<SnapshotStore>>>,
-    snap_every: u64,
+    snaps: Option<Snapshots>,
     panic_tenant: Option<u64>,
     pending: Arc<AtomicUsize>,
 ) {
@@ -221,11 +229,12 @@ fn worker_loop(
         match &outcome {
             JobOutcome::Ok(Ok(stats)) => {
                 registry.complete(stats.clone());
-                if let Some(store) = &store {
-                    if snap_every > 0 && registry.completed().is_multiple_of(snap_every) {
-                        let store = store.lock().expect("snapshot store lock");
+                if let Some(snaps) = &snaps {
+                    if registry.completed().is_multiple_of(snaps.every) {
+                        let store = snaps.store.lock().expect("snapshot store lock");
                         if let Err(e) = registry.snapshot_to(&store) {
                             eprintln!("[serve: periodic snapshot failed: {e}]");
+                            (snaps.on_failure)(e);
                         }
                     }
                 }
@@ -272,7 +281,7 @@ mod tests {
     #[test]
     fn admission_bounds_and_busy_rejection() {
         let registry = Arc::new(Registry::new());
-        let pool = ShardPool::spawn(1, 2, TIMEOUT, registry, None, 0, None);
+        let pool = ShardPool::spawn(1, 2, TIMEOUT, registry, None, None);
         let t1 = pool.try_admit(1).unwrap();
         let _t2 = pool.try_admit(1).unwrap();
         assert!(matches!(pool.try_admit(1), Err(ServeError::Busy)));
@@ -284,7 +293,7 @@ mod tests {
     #[test]
     fn gauges_track_reservations_per_shard() {
         let registry = Arc::new(Registry::new());
-        let pool = ShardPool::spawn(2, 3, TIMEOUT, registry, None, 0, None);
+        let pool = ShardPool::spawn(2, 3, TIMEOUT, registry, None, None);
         assert_eq!(
             pool.gauges(),
             vec![
@@ -313,7 +322,7 @@ mod tests {
     #[test]
     fn jobs_complete_into_the_registry() {
         let registry = Arc::new(Registry::new());
-        let pool = ShardPool::spawn(2, 4, TIMEOUT, Arc::clone(&registry), None, 0, None);
+        let pool = ShardPool::spawn(2, 4, TIMEOUT, Arc::clone(&registry), None, None);
         let rx = pool.try_admit(5).unwrap().submit(request(5, 200));
         let outcome = rx.recv().unwrap();
         let JobOutcome::Ok(Ok(stats)) = outcome else {
@@ -337,8 +346,11 @@ mod tests {
             DEPTH,
             TIMEOUT,
             Arc::clone(&registry),
-            Some(Arc::clone(&store)),
-            1,
+            Some(Snapshots {
+                store: Arc::clone(&store),
+                every: 1,
+                on_failure: Arc::new(|e| panic!("snapshot failed: {e}")),
+            }),
             None,
         );
         // While the test holds the store, the worker blocks in the
@@ -368,7 +380,7 @@ mod tests {
     #[test]
     fn the_panic_tenant_panics_in_the_worker_alone() {
         let registry = Arc::new(Registry::new());
-        let pool = ShardPool::spawn(1, 2, TIMEOUT, Arc::clone(&registry), None, 0, Some(5));
+        let pool = ShardPool::spawn(1, 2, TIMEOUT, Arc::clone(&registry), None, Some(5));
         let outcome = pool.try_admit(5).unwrap().submit(request(5, 50)).recv();
         assert!(
             matches!(outcome, Ok(JobOutcome::Panicked { .. })),
@@ -384,7 +396,7 @@ mod tests {
     #[test]
     fn tenants_land_on_stable_shards() {
         let registry = Arc::new(Registry::new());
-        let pool = ShardPool::spawn(3, 1, TIMEOUT, registry, None, 0, None);
+        let pool = ShardPool::spawn(3, 1, TIMEOUT, registry, None, None);
         assert_eq!(pool.shard_of(0), 0);
         assert_eq!(pool.shard_of(7), 1);
         assert_eq!(pool.shard_of(8), 2);

@@ -13,7 +13,7 @@ use itesp_serve::client::{misbehave, run_once, run_with_retry};
 use itesp_serve::protocol::{encode_end, encode_records_frame, read_frame, write_frame, FrameKind};
 use itesp_serve::{ServeError, Server, ServerConfig};
 
-use common::{hello, multi_frame_ops, records, scratch_dir, TestDaemon};
+use common::{hello, multi_frame_ops, records, scratch_dir, test_config, TestDaemon};
 
 #[test]
 fn concurrent_tenants_each_get_deterministic_stats() {
@@ -163,6 +163,38 @@ fn drain_then_restart_recovers_byte_identical_stats() {
     run_once(reborn.traffic, &hello(5, "ITESP"), &records(5, 200)).expect("post-recovery tenant");
     assert!(reborn.tenants_json().contains("\"tenant\": 5"));
     reborn.drain();
+}
+
+#[test]
+fn a_failed_periodic_snapshot_stops_the_daemon_with_a_store_error() {
+    let state = scratch_dir("snap-fails");
+    let server = Server::start(test_config(state.clone(), 1, 2)).expect("daemon start");
+    let traffic = server.traffic_addr();
+    let (done, ran) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done.send(server.run()));
+    // Every completion snapshots (`snap_every` 1); with the store's
+    // directory gone, the first one fails.
+    std::fs::remove_dir_all(state.join("snaps")).expect("remove snaps/");
+    run_once(traffic, &hello(1, "ITESP"), &records(1, 200)).expect("the request itself completes");
+    let outcome = ran
+        .recv_timeout(Duration::from_secs(60))
+        .expect("run returns after the failed snapshot");
+    assert!(matches!(outcome, Err(ServeError::Store(_))), "{outcome:?}");
+    let _ = std::fs::remove_dir_all(state);
+}
+
+#[test]
+fn a_store_that_does_not_open_is_refused_at_start() {
+    let state = scratch_dir("store-unopenable");
+    std::fs::create_dir_all(&state).unwrap();
+    std::fs::write(state.join("snaps"), b"a file, not a directory").unwrap();
+    let started = Server::start(ServerConfig::new(&state));
+    assert!(
+        matches!(started, Err(ServeError::Store(_))),
+        "{:?}",
+        started.err()
+    );
+    let _ = std::fs::remove_dir_all(state);
 }
 
 #[test]

@@ -22,7 +22,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use itesp_core::{EngineConfig, Scheme, SecurityEngine};
 
@@ -32,7 +32,7 @@ const HIT_CYCLES: u64 = 2;
 const MISS_CYCLES: u64 = 200;
 
 /// One latency sample range over repeated trials.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LatencyRange {
     pub min: u64,
     pub max: u64,
@@ -54,7 +54,7 @@ impl LatencyRange {
 }
 
 /// Result of one covert-channel experiment at a given block count.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ChannelPoint {
     /// Blocks touched per measurement.
     pub blocks: usize,

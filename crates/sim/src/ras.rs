@@ -41,8 +41,7 @@ use std::fmt;
 use itesp_snap::{Persist, SnapError, SnapReader, SnapWriter};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
-use serde_json::FromValue;
+use serde::Serialize;
 
 use itesp_core::mac::{mac_block, MacKey};
 use itesp_dram::AddressDecoder;
@@ -65,7 +64,7 @@ const BURST_READS_PER_CYCLE: usize = 4;
 /// DRAM cycle `at_dram_cycle`. The chip stays dead for the rest of the
 /// run — every block in that rank reads back corrupted until corrected
 /// (and re-corrupted on the next read, like real dead silicon).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Drill {
     pub at_dram_cycle: u64,
     pub channel: u32,
@@ -75,7 +74,7 @@ pub struct Drill {
 
 /// Runtime RAS configuration, attached to
 /// [`SystemConfig`](crate::SystemConfig).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RasConfig {
     /// Seed for the fault process (arrival times, fault classes, chip
     /// garbage) and the materialized-codeword MAC key.
@@ -141,7 +140,7 @@ impl RasConfig {
 
 /// Everything the RAS pipeline measured in one run; attached to
 /// [`RunResult`](crate::RunResult) (all zeros when RAS was off).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize, FromValue, Persist)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Persist)]
 pub struct RasStats {
     /// Random faults planted by the Poisson process.
     pub faults_injected: u64,

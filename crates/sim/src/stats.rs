@@ -1,7 +1,7 @@
 //! Run results and the derived metrics the figures plot.
 
-use serde::{Deserialize, Serialize};
-use serde_json::FromValue;
+use itesp_snap::Persist;
+use serde::Serialize;
 
 use itesp_core::{CacheStats, EngineStats, SecurityEngine};
 use itesp_dram::{ChannelStats, EnergyBreakdown, MemorySystem};
@@ -11,7 +11,7 @@ use crate::ras::RasStats;
 use crate::system::CPU_PER_DRAM_CYCLE;
 
 /// Everything measured in one simulation run.
-#[derive(Debug, Clone, Serialize, Deserialize, FromValue)]
+#[derive(Debug, Clone, Default, Serialize, Persist)]
 pub struct RunResult {
     /// Total execution time in CPU cycles (last core to finish).
     pub cycles: u64,

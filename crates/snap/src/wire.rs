@@ -147,7 +147,7 @@ impl SnapWriter {
     }
 }
 
-/// Deserializer over a byte slice; every read is bounds-checked.
+/// Reader over a byte slice; every read is bounds-checked.
 #[derive(Debug)]
 pub struct SnapReader<'a> {
     buf: &'a [u8],

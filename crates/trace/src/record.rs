@@ -6,10 +6,10 @@
 //! `itesp-sim` replays these records.
 
 use itesp_snap::Persist;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Whether an access reads or writes memory.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize, Persist)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Persist)]
 pub enum MemOp {
     /// A demand read (LLC load miss); blocks retirement at ROB head.
     #[default]
@@ -19,7 +19,7 @@ pub enum MemOp {
 }
 
 /// One record of a virtual-address trace, before page mapping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TraceRecord {
     /// CPU cycles of non-memory instructions preceding this access.
     pub gap: u32,
@@ -29,7 +29,7 @@ pub struct TraceRecord {
 }
 
 /// One record of a physical-address trace, after page mapping.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize, Persist)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Persist)]
 pub struct PhysRecord {
     /// CPU cycles of non-memory instructions preceding this access.
     pub gap: u32,

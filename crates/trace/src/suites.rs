@@ -8,10 +8,10 @@
 //! so the *relative* behavior (which benchmarks are memory-bound, which
 //! stream, which pointer-chase) matches the published characterization.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Benchmark suite of origin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Suite {
     Spec2017,
     Gap,
@@ -29,7 +29,7 @@ impl Suite {
 }
 
 /// Broad access-pattern family, which sets the locality defaults.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum AccessPattern {
     /// Long unit-stride runs (stencils, dense linear algebra).
     Streaming,
@@ -42,7 +42,7 @@ pub enum AccessPattern {
 }
 
 /// Static description of one benchmark.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Benchmark {
     pub name: &'static str,
     pub suite: Suite,
